@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from .stats import analyze
 from .trees import parse_tree
 
 REPRODUCE_TARGETS = ("table2", "table3", "fig2", "fig3", "fig4", "sov-footnote", "all")
+DRYER_TARGETS = ("table2", "table3", "fig2", "fig3")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,9 +113,9 @@ def _render_rows(header, rows, fmt: str) -> str:
     return _text_block(header, [[str(c) for c in row] for row in rows])
 
 
-def _reproduce_one(target: str, fmt: str) -> tuple[str, list[str]]:
+def _reproduce_one(target: str, fmt: str, reports, sov_rows) -> tuple[str, list[str]]:
     if target == "table2":
-        rows = reproduce.table2_rows()
+        rows = reproduce.table2_rows(reports)
         rendered = [
             (unit, f"{prop:.3f}", F, g, format_p_value(p))
             for unit, prop, F, g, p in rows
@@ -123,7 +125,7 @@ def _reproduce_one(target: str, fmt: str) -> tuple[str, list[str]]:
             reproduce.check_table2(rows),
         )
     if target == "table3":
-        rows = reproduce.table3_rows()
+        rows = reproduce.table3_rows(reports)
         rendered = [
             (
                 unit,
@@ -146,18 +148,17 @@ def _reproduce_one(target: str, fmt: str) -> tuple[str, list[str]]:
             reproduce.check_table3(rows),
         )
     if target == "fig2":
-        return reproduce.fig2_csv(), reproduce.check_fig2()
+        return reproduce.fig2_csv(reports), reproduce.check_fig2(reports)
     if target == "fig3":
-        return reproduce.fig3_csv(), reproduce.check_fig3()
+        return reproduce.fig3_csv(reports), reproduce.check_fig3(reports)
     if target == "fig4":
         return reproduce.fig4_csv(), reproduce.check_fig4()
     if target == "sov-footnote":
-        rows = reproduce.sov_footnote_rows()
         rendered = [
-            (unit, F, g, str(p0), format_p_value(p)) for unit, F, g, p0, p in rows
+            (unit, F, g, str(p0), format_p_value(p)) for unit, F, g, p0, p in sov_rows
         ]
         body = _render_rows(("unit", "F", "g", "p0", "p-value"), rendered, fmt)
-        matches = reproduce.sov_reproducing_p0()
+        matches = reproduce.sov_reproducing_p0(sov_rows)
         lines = []
         for unit, p0s in matches.items():
             if p0s:
@@ -165,16 +166,21 @@ def _reproduce_one(target: str, fmt: str) -> tuple[str, list[str]]:
                 lines.append(f"# {unit}: published value reproduced by {names}")
             else:
                 lines.append(f"# {unit}: published value not reproduced")
-        return body + "\n".join(lines) + "\n", reproduce.check_sov_footnote()
+        return body + "\n".join(lines) + "\n", reproduce.check_sov_footnote(sov_rows)
     raise ValueError(f"unknown reproduction target {target!r}")
 
 
 def _cmd_reproduce(args) -> int:
     targets = REPRODUCE_TARGETS[:-1] if args.target == "all" else (args.target,)
+    # each computed once per run, and only when a requested target needs it
+    reports = (
+        reproduce.dryer_reports() if set(targets) & set(DRYER_TARGETS) else None
+    )
+    sov_rows = reproduce.sov_footnote_rows() if "sov-footnote" in targets else None
     chunks = []
     problems: list[str] = []
     for target in targets:
-        body, target_problems = _reproduce_one(target, args.format)
+        body, target_problems = _reproduce_one(target, args.format, reports, sov_rows)
         if len(targets) > 1:
             chunks.append(f"== {target} ==")
         chunks.append(body)
@@ -198,7 +204,7 @@ def _cmd_analyze(args) -> int:
             source = handle.read()
     schema = TableSchema(head=args.head, strict=args.strict)
     table = load_frequency_table(source, schema)
-    p0 = Fraction(args.p0) if args.p0 else None
+    p0 = _parse_fraction(args.p0, "--p0") if args.p0 else None
     reports = analyze(table, alpha=args.alpha, p0=p0)
     if args.format == "csv":
         _write(args, reports_to_csv(reports))
@@ -210,6 +216,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_null_model(args) -> int:
     if args.max_n < 2:
         raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
+    if args.frequency is not None and not math.isfinite(args.frequency):
+        raise ValueError(f"--frequency must be a finite number, got {args.frequency}")
     spec = args.tree.strip()
     if spec.startswith(("star:", "path:")):
         from .trees import path, star
@@ -250,10 +258,20 @@ def _cmd_ring(args) -> int:
         order, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--freq expects ORDER=COUNT, got {item!r}")
-        frequencies[order.strip()] = Fraction(value.strip())
+        frequencies[order.strip()] = _parse_fraction(value, f"--freq {item!r}")
     ring = build_ring(args.symbols, frequencies or None)
     _write(args, export_plot_data(ring, "fig4"))
     return 0
+
+
+def _parse_fraction(text: str, what: str) -> Fraction:
+    """An exact number from a flag value such as '1/2', '0.5' or '564'."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"{what}: expected a number or fraction, got {text!r}"
+        ) from None
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,9 @@
 
 Each target has a builder (rows or CSV from the live pipeline) and a checker
 returning a list of mismatch descriptions; an empty list means the
-reproduction passes at the documented tolerances.
+reproduction passes at the documented tolerances. Builders and checkers take
+the Dryer reports (`dryer_reports`) or the S/O/V rows (`sov_footnote_rows`)
+as an argument, so one run computes each once however many targets use it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ def dryer_reports(alpha: float = 0.05) -> list[HeadPlacementReport]:
     return analyze(builtin_dryer_table(), alpha=alpha)
 
 
-def table2_rows() -> list[tuple[str, float, int, int, float]]:
-    return head_end_test_rows(dryer_reports())
+def table2_rows(
+    reports: list[HeadPlacementReport],
+) -> list[tuple[str, float, int, int, float]]:
+    return head_end_test_rows(reports)
 
 
 def check_table2(rows) -> list[str]:
@@ -48,8 +52,8 @@ def check_table2(rows) -> list[str]:
     return problems
 
 
-def table3_rows():
-    return distance_rows(dryer_reports())
+def table3_rows(reports: list[HeadPlacementReport]):
+    return distance_rows(reports)
 
 
 def check_table3(rows) -> list[str]:
@@ -87,17 +91,17 @@ def sov_footnote_rows() -> list[tuple[str, int, int, Fraction, float]]:
     return rows
 
 
-def sov_reproducing_p0() -> dict[str, list[Fraction]]:
+def sov_reproducing_p0(rows) -> dict[str, list[Fraction]]:
     """Null probabilities whose p-value lands within 10x of the published one."""
-    matches: dict[str, list[Fraction]] = {unit: [] for unit in builtin_sov_aggregates()}
-    for unit, _, _, p0, p in sov_footnote_rows():
+    matches: dict[str, list[Fraction]] = {unit: [] for unit, *_ in rows}
+    for unit, _, _, p0, p in rows:
         if published.within_order_of_magnitude(p, published.SOV_PUBLISHED[unit]):
             matches[unit].append(p0)
     return matches
 
 
-def check_sov_footnote() -> list[str]:
-    matches = sov_reproducing_p0()
+def check_sov_footnote(rows) -> list[str]:
+    matches = sov_reproducing_p0(rows)
     problems = []
     for unit, reference in published.SOV_PUBLISHED.items():
         if not matches[unit]:
@@ -112,15 +116,15 @@ def check_sov_footnote() -> list[str]:
     return problems
 
 
-def fig2_csv() -> str:
-    return export_plot_data(dryer_reports(), "fig2")
+def fig2_csv(reports: list[HeadPlacementReport]) -> str:
+    return export_plot_data(reports, "fig2")
 
 
-def check_fig2() -> list[str]:
+def check_fig2(reports: list[HeadPlacementReport]) -> list[str]:
     problems = []
     reference = {unit: prop for unit, prop, _, _, _ in published.TABLE2_PUBLISHED[:2]}
     reference["adjusted"] = 0.567  # caption values g=123.2, F=217.4
-    for r in dryer_reports():
+    for r in reports:
         target = reference[r.unit]
         if not published.within(r.proportion, target, published.PROPORTION_TOL):
             problems.append(
@@ -135,14 +139,14 @@ def check_fig2() -> list[str]:
     return problems
 
 
-def fig3_csv() -> str:
-    return export_plot_data(dryer_reports(), "fig3")
+def fig3_csv(reports: list[HeadPlacementReport]) -> str:
+    return export_plot_data(reports, "fig3")
 
 
-def check_fig3() -> list[str]:
+def check_fig3(reports: list[HeadPlacementReport]) -> list[str]:
     problems = []
     reference = {row[0]: row for row in published.TABLE3_PUBLISHED[:3]}
-    for r in dryer_reports():
+    for r in reports:
         _, _, _, r_mu, r_sigma, r_mean, _, _ = reference[r.unit]
         if float(r.null_mean_D) != r_mu:
             problems.append(f"{r.unit}: null mean {float(r.null_mean_D)} vs {r_mu}")

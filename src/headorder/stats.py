@@ -8,14 +8,19 @@ Central quantities, per measurement unit of an order-frequency table:
           <D> = 2 + g/F (3-word star phrases) and <D> = 4 + 2 g/F (4-word)
 * k       separation |<D> - mean| in units of sigma(<D>), for the 3-sigma rule
 
-Binomial tails are accumulated in log space from a saddle-point log-pmf, so
-p-values down at 1e-37 and far beyond keep full relative accuracy.
+Binomial tails and quantiles take one saddle-point log-pmf (Loader 2000) at
+an anchor and extend it with the ratio recurrence
+pmf(k+1)/pmf(k) = (n-k)p / ((k+1)q), walking outward until the terms are
+negligible. p-values down at 1e-37 and far beyond keep full relative accuracy,
+and F = 10^6 costs milliseconds.
 Frequencies stay exact :class:`~fractions.Fraction` values until a float is
 actually reported.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +36,9 @@ from .trees import (
 )
 
 Real = Union[int, float, Fraction]
+
+# The binomial kernel works in float, where counts above 2**53 stop being exact.
+_MAX_TOTAL_FREQUENCY = 2**53
 
 
 @dataclass(frozen=True)
@@ -217,11 +225,58 @@ def _validate_counts(successes: Real, trials: Real) -> tuple[int, int]:
     return successes, trials
 
 
+# A term below this share of the running sum ends a walk; the dropped
+# remainder is then far below double rounding of the sum.
+_NEGLIGIBLE = 2.0**-60
+
+
+def _binomial_mode(trials: int, p: float) -> int:
+    """floor((trials + 1) p): the pmf rises up to it and falls after it."""
+    return min(trials, math.floor((trials + 1) * p))
+
+
+def _pmf_window(
+    trials: int, p: float, anchor: int, lowest: int, share: float
+) -> tuple[int, list[float]]:
+    """pmf(k) / pmf(anchor) for the k in lowest..trials that carry the mass.
+
+    Walks right from `anchor` with pmf(k+1)/pmf(k) = (n-k)p / ((k+1)q) and
+    left down to `lowest` with its inverse, ending each direction at its last
+    k or once a term drops below `share` of the running sum. The anchor must
+    be a mode of the pmf, or lie at or beyond it with `lowest == anchor`, so
+    that terms fall monotonically away from it and none overflows. The step
+    ratio r shrinks outward too, so what a direction drops is below
+    share * sum * r / (1 - r), r taken where it stopped: about
+    share * sum * sqrt(npq) / 9 for share = 2**-60.
+    Returns the first k of the window and its terms in increasing k.
+    """
+    q = 1.0 - p
+    right = [1.0]
+    term = total = 1.0
+    for k in range(anchor, trials):
+        term *= (trials - k) * p / ((k + 1) * q)
+        if term < share * total:
+            break
+        right.append(term)
+        total += term
+    left = []
+    term = 1.0
+    for k in range(anchor, lowest, -1):
+        term *= k * q / ((trials - k + 1) * p)
+        if term < share * total:
+            break
+        left.append(term)
+        total += term
+    left.reverse()
+    return anchor - len(left), left + right
+
+
 def right_binomial_test(successes: Real, trials: Real, p0: Real) -> float:
     """Exact right-tail P(X >= successes) for X ~ Binomial(trials, p0).
 
-    Tail terms are accumulated in log space relative to the largest one, so
-    the result keeps full relative accuracy however deep the tail, and only
+    One saddle-point log-pmf at max(successes, mode) anchors the tail; the
+    other terms follow from the pmf ratio recurrence relative to it, so the
+    result keeps full relative accuracy however deep the tail, and only
     degrades to zero below the smallest representable float (~1e-308).
     """
     successes, trials = _validate_counts(successes, trials)
@@ -230,13 +285,10 @@ def right_binomial_test(successes: Real, trials: Real, p0: Real) -> float:
         raise ValueError(f"null probability must be strictly inside (0, 1), got {p0}")
     if successes == 0:
         return 1.0
-    log_terms = [
-        binomial_log_pmf(k, trials, p) for k in range(successes, trials + 1)
-    ]
-    peak = max(log_terms)
-    if peak == -math.inf:
-        return 0.0
-    return math.exp(peak) * math.fsum(math.exp(t - peak) for t in log_terms)
+    anchor = max(successes, _binomial_mode(trials, p))
+    _, terms = _pmf_window(trials, p, anchor, successes, _NEGLIGIBLE)
+    log_tail = binomial_log_pmf(anchor, trials, p) + math.log(math.fsum(terms))
+    return min(1.0, math.exp(log_tail))  # the anchor's rounding can overshoot 1
 
 
 def quad_binomial_test(
@@ -266,6 +318,9 @@ def binomial_quantile(q: float, trials: int, p: Real) -> int:
 
     A 1e-12 relative tie tolerance absorbs float rounding where the true
     cumulative hits q exactly (e.g. the median of a symmetric binomial).
+    The cumulative runs over the ratio-recurrence window around the mode,
+    normalised by the window's sum; the window drops a mass far below
+    1e-12 q on either side, so the decision matches the full sum.
     """
     if not 0 < q < 1:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
@@ -278,13 +333,13 @@ def binomial_quantile(q: float, trials: int, p: Real) -> int:
         return 0
     if p == 1.0:
         return trials
-    bar = q * (1.0 - 1e-12)
-    cumulative = 0.0
-    for k in range(trials + 1):
-        cumulative += binomial_pmf(k, trials, p)
-        if cumulative >= bar:
-            return k
-    return trials  # float round-off kept the running sum a hair below q
+    first, terms = _pmf_window(
+        trials, p, _binomial_mode(trials, p), 0, _NEGLIGIBLE * q
+    )
+    cumulative = list(itertools.accumulate(terms))
+    index = bisect.bisect_left(cumulative, q * (1.0 - 1e-12) * math.fsum(terms))
+    # past the end: round-off kept the running sum a hair below q
+    return first + min(index, len(terms) - 1)
 
 
 def binomial_proportion_ci(
@@ -435,6 +490,11 @@ def analyze(
         F = total_frequency(table, unit)
         if F == 0:
             raise ValueError(f"zero total frequency for unit {unit!r}")
+        if F > _MAX_TOTAL_FREQUENCY:
+            raise ValueError(
+                f"total frequency of unit {unit!r} exceeds 2**53 = "
+                f"{_MAX_TOTAL_FREQUENCY}, the largest count a float holds exactly"
+            )
         g = head_end_frequency(table, unit)
         seen: set[tuple[int, int]] = set()
         p_values = []

@@ -124,6 +124,20 @@ class TestAnalyze:
         assert code == 2
         assert "--alpha" in err
 
+    def test_zero_denominator_p0(self, capsys, table_file):
+        code, out, err = run(capsys, "analyze", "--input", table_file, "--p0", "1/0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --p0") and err.count("\n") == 1
+
+    def test_count_beyond_float_exactness(self, capsys, tmp_path):
+        f = tmp_path / "huge.csv"
+        f.write_text("order,u\nnAND,1e400\nDNAn,1\n")
+        code, out, err = run(capsys, "analyze", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "2**53" in err and err.count("\n") == 1
+
     def test_p0_override(self, capsys, table_file):
         code_default, out_default, _ = run(capsys, "analyze", "--input", table_file)
         code_override, out_override, _ = run(
@@ -187,6 +201,15 @@ class TestNullModel:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_frequency(self, capsys, value):
+        code, out, err = run(
+            capsys, "null-model", "--tree", "star:3", "--frequency", value
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --frequency must be a finite number, got {value}\n"
+
     def test_max_n_validated(self, capsys):
         code, _, err = run(capsys, "null-model", "--tree", "star:3", "--max-n", "1")
         assert code == 2
@@ -213,3 +236,9 @@ class TestRingCommand:
     def test_unknown_order(self, capsys):
         code, _, err = run(capsys, "ring", "--freq", "XYZ=5")
         assert code == 2
+
+    def test_zero_denominator_count(self, capsys):
+        code, out, err = run(capsys, "ring", "--freq", "SOV=1/0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --freq") and err.count("\n") == 1

@@ -1,6 +1,7 @@
 import math
+import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb
 
 import pytest
@@ -37,6 +38,26 @@ def exact_right_tail(successes: int, trials: int, p0: Fraction) -> Fraction:
         comb(trials, k) * p0**k * q0 ** (trials - k)
         for k in range(successes, trials + 1)
     )
+
+
+def exact_pmf_numerators(trials: int, p: Fraction) -> tuple[list[int], int]:
+    """Integer numerators of P(X = k), k = 0..trials, over their common denominator."""
+    a, d = p.numerator, p.denominator
+    b = d - a
+    numerators = [comb(trials, k) * a**k * b ** (trials - k) for k in range(trials + 1)]
+    return numerators, d**trials
+
+
+def exact_quantile(q: float, trials: int, p: Fraction) -> int:
+    """Smallest x with P(X <= x) >= q, in exact rationals."""
+    numerators, denominator = exact_pmf_numerators(trials, p)
+    target = Fraction(q) * denominator
+    cumulative = 0
+    for k, numerator in enumerate(numerators):
+        cumulative += numerator
+        if cumulative >= target:
+            return k
+    raise AssertionError("the cdf reaches 1")
 
 
 class TestHeadEndBasics:
@@ -127,6 +148,36 @@ class TestRightBinomialTest:
             assert right_binomial_test(successes, trials, p0) == pytest.approx(
                 expected, rel=1e-10
             )
+
+    @pytest.mark.parametrize(
+        "p0", [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+    )
+    def test_exact_oracle_relative_error(self, p0):
+        # every tail of n <= 2000 at a spread of thresholds, down past 1e-150
+        worst = 0.0
+        deep = 0
+        for trials in (1, 7, 50, 333, 963, 2000):
+            numerators, denominator = exact_pmf_numerators(trials, p0)
+            tails = list(accumulate(reversed(numerators)))[::-1]
+            for successes in sorted({1, *range(0, trials + 1, max(1, trials // 40))}):
+                exact = Fraction(tails[successes], denominator)
+                computed = right_binomial_test(successes, trials, p0)
+                if exact < Fraction(1, 10**300):
+                    assert computed < 1e-290
+                    continue
+                deep += exact < Fraction(1, 10**150)
+                worst = max(worst, abs(computed - exact) / exact)
+        assert deep > 0
+        assert worst <= 1e-12
+
+    def test_exact_oracle_deepest_known_case(self):
+        exact = exact_right_tail(721, 963, Fraction(1, 3))
+        assert exact < Fraction(1, 10**150)
+        computed = right_binomial_test(721, 963, Fraction(1, 3))
+        assert abs(computed - exact) / exact <= 1e-12
+
+    def test_underflow_gives_zero(self):
+        assert right_binomial_test(2000, 2000, Fraction(1, 10)) == 0.0
 
     def test_deep_tail_magnitude(self):
         # (180, 200, 1/10) is around 1e-40 territory; check 3 significant figures
@@ -238,6 +289,25 @@ class TestConfidenceInterval:
                     assert binomial_quantile(q, trials, p) == int(
                         binom.ppf(q, trials, p)
                     )
+
+    @pytest.mark.parametrize(
+        "p", [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+    )
+    def test_quantile_against_exact_rationals(self, p):
+        # n odd at p = 1/2 puts the median exactly on a tie, P(X <= (n-1)/2) = 1/2
+        for trials in (1, 2, 9, 217, 576, 1001, 2000):
+            for q in (0.025, 0.5, 0.975):
+                assert binomial_quantile(q, trials, p) == exact_quantile(q, trials, p)
+
+    def test_million_trials_against_scipy(self):
+        start = time.perf_counter()
+        tail = right_binomial_test(500_800, 1_000_000, Fraction(1, 2))
+        lo, hi = binomial_proportion_ci(0.505, 1_000_000)
+        elapsed = time.perf_counter() - start
+        assert tail == pytest.approx(binom.sf(500_799, 1_000_000, 0.5), rel=1e-9)
+        assert lo == binom.ppf(0.025, 1_000_000, 0.505) / 1_000_000
+        assert hi == binom.ppf(0.975, 1_000_000, 0.505) / 1_000_000
+        assert elapsed < 1.0
 
     def test_quantile_validation(self):
         with pytest.raises(ValueError):
@@ -354,6 +424,15 @@ class TestAnalyze:
         assert report.p_values[0][2] == pytest.approx(
             float(exact_right_tail(40, 60, Fraction(2, 3))), rel=1e-9
         )
+
+    def test_refuses_counts_beyond_float_exactness(self):
+        rows = {"nAND": {"u": Fraction(10) ** 400}}
+        table = OrderFrequencyTable(("D", "N", "A", "n"), "n", ("u",), rows)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            analyze(table)
+        rows = {"nAND": {"u": Fraction(2**53)}}
+        table = OrderFrequencyTable(("D", "N", "A", "n"), "n", ("u",), rows)
+        assert analyze(table)[0].g == 2**53
 
     def test_p0_override(self):
         table = builtin_dryer_table()
