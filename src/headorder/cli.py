@@ -79,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--frequency", type=float, help="instance count F for sigma(<D>)"
     )
     p_null.add_argument(
-        "--distribution", action="store_true", help="dump the exact enumerated pmf"
+        "--distribution",
+        action="store_true",
+        help="dump the exact pmf (subset DP over gap cuts, O(2^n * n))",
     )
     p_null.add_argument("--max-n", type=int, default=DEFAULT_ENUMERATION_CAP)
     p_null.add_argument("--out")

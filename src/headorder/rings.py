@@ -92,7 +92,9 @@ def build_ring(
 
     Optional `frequencies` annotate nodes (order string -> count) for plotting;
     keys must be valid orders. Only m=3 yields a ring proper; larger alphabets
-    produce the adjacent-transposition graph, with a warning.
+    produce the adjacent-transposition graph, with a warning. Edges are
+    generated from the m-1 adjacent swaps of each node, not searched for among
+    all pairs of orders.
     """
     symbols = _as_order(alphabet)
     m = len(symbols)
@@ -110,18 +112,22 @@ def build_ring(
                 "nodes, not a ring",
                 stacklevel=2,
             )
-    edges = tuple(
-        (nodes[i], nodes[j])
-        for i in range(len(nodes))
-        for j in range(i + 1, len(nodes))
-        if swap_distance(nodes[i], nodes[j]) == 1
-    )
+    # each node lists its later neighbours in node order, the order a scan
+    # over all pairs (i < j) would find them in
+    index = {node: i for i, node in enumerate(nodes)}
+    edges = []
+    for i, node in enumerate(nodes):
+        swapped = (
+            index[node[:k] + node[k + 1] + node[k] + node[k + 2 :]]
+            for k in range(m - 1)
+        )
+        edges.extend((node, nodes[j]) for j in sorted(j for j in swapped if j > i))
     if frequencies is not None:
         unknown = sorted(set(frequencies) - set(nodes))
         if unknown:
             raise ValueError(f"frequency keys not in node set: {', '.join(unknown)}")
         frequencies = dict(frequencies)
-    return PermutationRing(symbols, nodes, edges, frequencies)
+    return PermutationRing(symbols, nodes, tuple(edges), frequencies)
 
 
 def ring_layout(ring: PermutationRing) -> tuple[tuple[str, float, object | None], ...]:

@@ -300,16 +300,19 @@ def quad_binomial_test(
     (floor F, ceil g), (ceil F, ceil g), in that order. Integer inputs make
     all four identical. When F and g fall in the same unit interval, ceil g
     can exceed floor F; successes are clamped to trials in that degenerate
-    combination.
+    combination. Each distinct (trials, successes) pair is tested once.
     """
     if not 0 <= g <= F:
         raise ValueError(f"need 0 <= g <= F, got g={g}, F={F}")
     g_lo, g_hi = math.floor(g), math.ceil(g)
     F_lo, F_hi = math.floor(F), math.ceil(F)
+    tails: dict[tuple[int, int], float] = {}
     results = []
     for trials, successes in ((F_lo, g_lo), (F_hi, g_lo), (F_lo, g_hi), (F_hi, g_hi)):
         successes = min(successes, trials)
-        results.append((trials, successes, right_binomial_test(successes, trials, p0)))
+        if (trials, successes) not in tails:
+            tails[trials, successes] = right_binomial_test(successes, trials, p0)
+        results.append((trials, successes, tails[trials, successes]))
     return tuple(results)
 
 
@@ -484,6 +487,11 @@ def analyze(
     p-value and fractional units up to four.
     """
     n = table.n
+    if n < 3:
+        raise ValueError(
+            f"head-end test is degenerate for n={n}: "
+            "every order puts the head at an end"
+        )
     null_p = Fraction(p0) if p0 is not None else p_head_at_ends(n)
     reports = []
     for unit in table.units:

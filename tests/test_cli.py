@@ -138,6 +138,17 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error:") and "2**53" in err and err.count("\n") == 1
 
+    def test_two_symbol_table_refused(self, capsys, tmp_path):
+        f = tmp_path / "pair.csv"
+        f.write_text("order,u\nnA,3\nAn,4\n")
+        code, out, err = run(capsys, "analyze", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: head-end test is degenerate for n=2: "
+            "every order puts the head at an end\n"
+        )
+
     def test_p0_override(self, capsys, table_file):
         code_default, out_default, _ = run(capsys, "analyze", "--input", table_file)
         code_override, out_override, _ = run(
@@ -182,6 +193,14 @@ class TestNullModel:
         )
         assert code == 2
         assert "cap" in err
+
+    def test_ceiling_refuses_a_huge_cap(self, capsys):
+        code, out, err = run(
+            capsys, "null-model", "--tree", "path:40", "--max-n", "40", "--distribution"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "2**40" in err and err.count("\n") == 1
 
     def test_cap_can_be_raised(self, capsys):
         code, out, _ = run(

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import networkx as nx
 import pytest
 
 from headorder.nullmodel import (
+    DP_CEILING,
     DiscreteDistribution,
     EnumerationCapError,
     check_three_sigma_assumptions,
@@ -17,7 +20,7 @@ from headorder.nullmodel import (
     variance_D,
     variance_D_star,
 )
-from headorder.trees import FreeTree, path, star
+from headorder.trees import FreeTree, path, single_head_D, star
 
 
 def tree_from_networkx(graph) -> FreeTree:
@@ -34,6 +37,22 @@ def all_tree_shapes(n):
     if n == 2:
         return [path(2)]
     return [tree_from_networkx(g) for g in nx.nonisomorphic_trees(n)]
+
+
+def prufer_tree(n, seed):
+    rng = random.Random(seed)
+    sequence = [rng.randrange(n) for _ in range(n - 2)]
+    return tree_from_networkx(nx.from_prufer_sequence(sequence))
+
+
+def enumerated_D_distribution(tree) -> DiscreteDistribution:
+    """Brute-force oracle: D summed over the edges of each of the n! arrangements."""
+    edges = [(u - 1, v - 1) for u, v in tree.edges]
+    counts = Counter(
+        sum(abs(positions[u] - positions[v]) for u, v in edges)
+        for positions in permutations(range(1, tree.n + 1))
+    )
+    return DiscreteDistribution.from_counts(counts)
 
 
 class TestDiscreteDistribution:
@@ -165,6 +184,46 @@ class TestEnumerationOracle:
             dist = enumerate_D_distribution(tree)
             assert dist.mean() == expected_D(6)
             assert dist.variance() == variance_D(tree)
+
+
+class TestCutDP:
+    def test_matches_enumeration_on_all_shapes(self):
+        for n in range(1, 8):
+            for tree in all_tree_shapes(n):
+                assert enumerate_D_distribution(tree) == enumerated_D_distribution(tree)
+
+    def test_matches_enumeration_on_random_labelings(self):
+        rng = random.Random(8)
+        for seed in range(3):
+            tree = prufer_tree(8, seed)
+            labels = list(range(1, 9))
+            rng.shuffle(labels)
+            edges = frozenset((labels[u - 1], labels[v - 1]) for u, v in tree.edges)
+            tree = FreeTree(8, edges)
+            assert enumerate_D_distribution(tree) == enumerated_D_distribution(tree)
+
+    def test_matches_enumeration_at_the_default_cap(self):
+        for tree in (star(9), path(9)):
+            assert enumerate_D_distribution(tree) == enumerated_D_distribution(tree)
+
+    def test_star_is_the_uniform_hub_position(self):
+        for n in range(1, 15):
+            hub_D = Counter(single_head_D(n, position) for position in range(1, n + 1))
+            expected = DiscreteDistribution.from_counts(hub_D)
+            assert enumerate_D_distribution(star(n), max_n=n) == expected
+
+    def test_moments_beyond_the_default_cap(self):
+        for n in (12, 14):
+            for tree in (path(n), prufer_tree(n, n)):
+                dist = enumerate_D_distribution(tree, max_n=n)
+                assert dist.mean() == expected_D(n)
+                assert dist.variance() == variance_D(tree)
+
+    def test_ceiling_holds_whatever_the_cap(self):
+        # refused before any DP work, so a huge n costs nothing
+        for n in (DP_CEILING + 1, 40):
+            with pytest.raises(EnumerationCapError, match=rf"2\*\*{n} "):
+                enumerate_D_distribution(path(n), max_n=n)
 
 
 class TestUnimodality:

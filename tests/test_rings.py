@@ -106,6 +106,20 @@ class TestRing:
                 degree[b] += 1
             assert set(degree.values()) == {m - 1}
 
+    def test_edges_match_all_pairs_scan(self):
+        import warnings
+
+        for m in range(2, 6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ring = build_ring(SYMBOLS[:m])
+            scanned = tuple(
+                (a, b)
+                for a, b in combinations(ring.nodes, 2)
+                if swap_distance(a, b) == 1
+            )
+            assert ring.edges == scanned
+
     def test_two_symbols(self):
         ring = build_ring("AB")
         assert ring.nodes == ("AB", "BA")

@@ -234,6 +234,22 @@ class TestQuadBinomialTest:
         assert len(set(results)) == 1
         assert results[0][:2] == (217, 123)
 
+    def test_each_distinct_pair_tested_once(self, monkeypatch):
+        import headorder.stats as stats
+
+        calls = []
+
+        def counted(successes, trials, p0):
+            calls.append((trials, successes))
+            return right_binomial_test(successes, trials, p0)
+
+        monkeypatch.setattr(stats, "right_binomial_test", counted)
+        assert quad_binomial_test(123, 217, Fraction(1, 2))[0][:2] == (217, 123)
+        assert calls == [(217, 123)]
+        calls.clear()
+        quad_binomial_test(Fraction("123.2"), Fraction("217.4"), Fraction(1, 2))
+        assert calls == [(217, 123), (218, 123), (217, 124), (218, 124)]
+
     def test_last_adjusted_row(self):
         results = quad_binomial_test(124, 218, Fraction(1, 2))
         assert all(p == pytest.approx(0.025, abs=5e-4) for _, _, p in results)
