@@ -14,14 +14,17 @@ from fractions import Fraction
 
 from . import reproduce
 from .dataio import (
+    DISTANCE_TITLES,
+    HEAD_END_TEST_TITLES,
     TableSchema,
+    distance_cells,
     export_plot_data,
     format_p_value,
+    head_end_test_cells,
     load_frequency_table,
+    render_block,
     reports_to_csv,
     reports_to_text,
-    _csv_block,
-    _text_block,
 )
 from .nullmodel import (
     DEFAULT_ENUMERATION_CAP,
@@ -109,44 +112,17 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render_rows(header, rows, fmt: str) -> str:
-    if fmt == "csv":
-        return _csv_block(header, rows)
-    return _text_block(header, [[str(c) for c in row] for row in rows])
-
-
 def _reproduce_one(target: str, fmt: str, reports, sov_rows) -> tuple[str, list[str]]:
     if target == "table2":
         rows = reproduce.table2_rows(reports)
-        rendered = [
-            (unit, f"{prop:.3f}", F, g, format_p_value(p))
-            for unit, prop, F, g, p in rows
-        ]
         return (
-            _render_rows(("unit", "g/F", "F", "g", "p-value"), rendered, fmt),
+            render_block(HEAD_END_TEST_TITLES, head_end_test_cells(rows), fmt),
             reproduce.check_table2(rows),
         )
     if target == "table3":
         rows = reproduce.table3_rows(reports)
-        rendered = [
-            (
-                unit,
-                f"{float(F):g}",
-                d_lo,
-                f"{float(mu):g}",
-                f"{sigma:.3f}",
-                f"{mean:.3f}",
-                d_hi,
-                f"{k:.2f}",
-            )
-            for unit, F, d_lo, mu, sigma, mean, d_hi, k in rows
-        ]
         return (
-            _render_rows(
-                ("unit", "F", "D_min", "mu(<D>)", "sigma(<D>)", "<D>", "D_max", "k"),
-                rendered,
-                fmt,
-            ),
+            render_block(DISTANCE_TITLES, distance_cells(rows), fmt),
             reproduce.check_table3(rows),
         )
     if target == "fig2":
@@ -156,10 +132,11 @@ def _reproduce_one(target: str, fmt: str, reports, sov_rows) -> tuple[str, list[
     if target == "fig4":
         return reproduce.fig4_csv(), reproduce.check_fig4()
     if target == "sov-footnote":
-        rendered = [
-            (unit, F, g, str(p0), format_p_value(p)) for unit, F, g, p0, p in sov_rows
+        cells = [
+            (unit, str(F), str(g), str(p0), format_p_value(p))
+            for unit, F, g, p0, p in sov_rows
         ]
-        body = _render_rows(("unit", "F", "g", "p0", "p-value"), rendered, fmt)
+        body = render_block(("unit", "F", "g", "p0", "p-value"), cells, fmt)
         matches = reproduce.sov_reproducing_p0(sov_rows)
         lines = []
         for unit, p0s in matches.items():
@@ -220,15 +197,7 @@ def _cmd_null_model(args) -> int:
         raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
     if args.frequency is not None and not math.isfinite(args.frequency):
         raise ValueError(f"--frequency must be a finite number, got {args.frequency}")
-    spec = args.tree.strip()
-    if spec.startswith(("star:", "path:")):
-        from .trees import path, star
-
-        kind, _, count = spec.partition(":")
-        n = int(count)
-        tree = star(n) if kind == "star" else path(n)
-    else:
-        tree = parse_tree(spec)
+    tree = parse_tree(args.tree)
     moments = null_moments(tree, args.frequency)
     lines = [
         f"n = {tree.n}",

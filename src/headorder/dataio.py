@@ -82,18 +82,6 @@ def builtin_sov_aggregates() -> dict[str, tuple[int, int]]:
     return dict(_SOV_AGGREGATES)
 
 
-@dataclass(frozen=True)
-class DatasetBundle:
-    """Everything embedded: the order table plus the S/O/V aggregates."""
-
-    dryer_table: OrderFrequencyTable
-    sov_aggregates: dict[str, tuple[int, int]]
-
-
-def builtin_bundle() -> DatasetBundle:
-    return DatasetBundle(builtin_dryer_table(), builtin_sov_aggregates())
-
-
 class TableParseError(ValueError):
     """A frequency-table file failed validation; carries the 1-based line."""
 
@@ -135,10 +123,12 @@ def load_frequency_table(
 
     Layout: header ``order,<unit>,<unit>,...``, then one row per order
     string. Frequencies may be integers, decimals, or ``a/b`` rationals; they
-    are parsed exactly. Raises :class:`TableParseError` with the offending
-    line number on any malformed content.
+    are parsed exactly. One leading byte-order mark (as in Excel's
+    "CSV UTF-8") is skipped. Raises :class:`TableParseError` with the
+    offending line number on any malformed content.
     """
-    reader = csv.reader(io.StringIO(_read_text(source)))
+    text = _read_text(source).removeprefix("\ufeff")
+    reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -265,7 +255,9 @@ def distance_rows(
     """(unit, F, D_min, null mean, sigma, <D>, D_max, k) rows.
 
     Units with fractional frequencies get one extra row per integer
-    transformation, recomputed at the transformed (F, g).
+    transformation, recomputed at the transformed (F, g) through
+    :func:`mean_D_from_g`. Only n <= 4 has these rows: from n=5 on (F, g)
+    no longer fix <D>.
     """
     rows = []
     for report in reports:
@@ -284,7 +276,7 @@ def distance_rows(
                 report.k,
             )
         )
-        if len(report.p_values) > 1:
+        if n <= 4 and len(report.p_values) > 1:
             for trials, successes, _ in report.p_values:
                 if trials == 0:
                     continue
@@ -365,8 +357,31 @@ def format_p_value(p: float) -> str:
     return f"{p:.3f}"
 
 
-def _text_block(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    table = [tuple(header)] + [tuple(row) for row in rows]
+HEAD_END_TEST_TITLES = ("unit", "g/F", "F", "g", "p-value")
+DISTANCE_TITLES = ("unit", "F", "D_min", "mu(<D>)", "sigma(<D>)", "<D>", "D_max", "k")
+
+
+def head_end_test_cells(rows) -> list[tuple[str, ...]]:
+    """Console cells of :func:`head_end_test_rows`."""
+    return [
+        (unit, f"{prop:.3f}", _fmt(F), _fmt(g), format_p_value(p))
+        for unit, prop, F, g, p in rows
+    ]
+
+
+def distance_cells(rows) -> list[tuple[str, ...]]:
+    """Console cells of :func:`distance_rows`."""
+    return [
+        (unit, _fmt(F), str(d_lo), _fmt(mu), f"{sigma:.3f}", f"{mean:.3f}", str(d_hi), f"{k:.2f}")
+        for unit, F, d_lo, mu, sigma, mean, d_hi, k in rows
+    ]
+
+
+def render_block(header: Sequence[str], cells: Sequence[Sequence[str]], fmt: str) -> str:
+    """One block of text cells: CSV for fmt "csv", else left-aligned columns."""
+    if fmt == "csv":
+        return _csv_block(header, cells)
+    table = [tuple(header)] + [tuple(row) for row in cells]
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     lines = []
     for row in table:
@@ -376,14 +391,6 @@ def _text_block(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 def reports_to_text(reports: Sequence[HeadPlacementReport]) -> str:
     """Console rendering mirroring the two published tables plus intervals."""
-    test_rows = [
-        (unit, f"{prop:.3f}", _fmt(F), _fmt(g), format_p_value(p))
-        for unit, prop, F, g, p in head_end_test_rows(reports)
-    ]
-    dist_rows = [
-        (unit, _fmt(F), str(d_lo), _fmt(mu), f"{sigma:.3f}", f"{mean:.3f}", str(d_hi), f"{k:.2f}")
-        for unit, F, d_lo, mu, sigma, mean, d_hi, k in distance_rows(reports)
-    ]
     interval_rows = [
         (
             unit,
@@ -397,16 +404,16 @@ def reports_to_text(reports: Sequence[HeadPlacementReport]) -> str:
     ]
     sections = [
         "Head placement at the ends (right-tail binomial test)",
-        _text_block(("unit", "g/F", "F", "g", "p-value"), test_rows),
-        "Average dependency-distance sum vs. the shuffling null",
-        _text_block(
-            ("unit", "F", "D_min", "mu(<D>)", "sigma(<D>)", "<D>", "D_max", "k"),
-            dist_rows,
+        render_block(
+            HEAD_END_TEST_TITLES, head_end_test_cells(head_end_test_rows(reports)), "table"
         ),
+        "Average dependency-distance sum vs. the shuffling null",
+        render_block(DISTANCE_TITLES, distance_cells(distance_rows(reports)), "table"),
         "Proportions with confidence intervals",
-        _text_block(
+        render_block(
             ("unit", "ends", "CI(ends)", "middle", "CI(middle)", "3-sigma"),
             interval_rows,
+            "table",
         ),
     ]
     return "\n".join(sections)

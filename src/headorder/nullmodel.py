@@ -215,24 +215,21 @@ def is_unimodal(dist: DiscreteDistribution | Mapping) -> bool:
 
 @dataclass(frozen=True)
 class ThreeSigmaAssumptions:
-    """Preconditions of the Vysochanskij-Petunin inequality for a distribution."""
+    """Preconditions of the Vysochanskij-Petunin inequality for a distribution.
 
-    finite_variance: bool
+    A finite support always has a finite variance, so unimodality is the one
+    precondition left to check.
+    """
+
     unimodal: bool
 
     @property
     def satisfied(self) -> bool:
-        return self.finite_variance and self.unimodal
+        return self.unimodal
 
 
 def check_three_sigma_assumptions(
     dist: DiscreteDistribution | Mapping,
 ) -> ThreeSigmaAssumptions:
-    """Diagnostic for applying the 3-sigma rule to the supplied distribution.
-
-    Any distribution with finite support has finite variance; both checks are
-    still reported so callers can log them.
-    """
-    masses = _mass_sequence(dist)
-    finite = all(math.isfinite(float(m)) for m in masses)  # finite support given
-    return ThreeSigmaAssumptions(finite_variance=finite, unimodal=is_unimodal(dist))
+    """Diagnostic for applying the 3-sigma rule to the supplied distribution."""
+    return ThreeSigmaAssumptions(unimodal=is_unimodal(dist))

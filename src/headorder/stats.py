@@ -4,8 +4,8 @@ Central quantities, per measurement unit of an order-frequency table:
 
 * F       total frequency over all orders of the phrase
 * g       frequency of orders placing the head first or last
-* <D>     frequency-weighted average dependency-distance sum, tied to g by
-          <D> = 2 + g/F (3-word star phrases) and <D> = 4 + 2 g/F (4-word)
+* <D>     frequency-weighted average dependency-distance sum, exact from the
+          frequency at each head position for any n >= 3
 * k       separation |<D> - mean| in units of sigma(<D>), for the 3-sigma rule
 
 Binomial tails and quantiles take one saddle-point log-pmf (Loader 2000) at
@@ -26,14 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .nullmodel import expected_D, sigma_mean_D
-from .trees import (
-    LinearArrangement,
-    d_max_single_head,
-    d_min_single_head,
-    star,
-    sum_dependency_distances,
-)
+from .nullmodel import expected_D, sigma_mean_D, variance_D_star
+from .trees import d_max_single_head, d_min_single_head, single_head_D, star
 
 Real = Union[int, float, Fraction]
 
@@ -121,10 +115,13 @@ def head_end_frequency(table: OrderFrequencyTable, unit: str) -> Fraction:
 
 
 def mean_D_from_g(n: int, g: Real, F: Real) -> float:
-    """<D> recovered from the head-end frequency for 3- or 4-word star phrases.
+    """<D> from (F, g) alone, for 3- or 4-word star phrases.
 
     With D two-valued ({2,3} resp. {4,6}), the frequency-weighted average is
     [D_min (F - g) + D_max g] / F, i.e. 2 + g/F for n=3 and 4 + 2 g/F for n=4.
+    From n=5 on D takes more values and (F, g) no longer fix <D>. This bridge
+    serves the integer-transformed Table 3 rows, where only (F, g) are known;
+    :func:`analyze` computes <D> from the head positions for every n.
     """
     if n not in (3, 4):
         raise ValueError(
@@ -382,18 +379,17 @@ def _round_half_away(x: Real) -> int:
 def sigma_separation_k(mean_D: float, F: Real, n: int) -> float:
     """Separation of <D> from its null mean, in units of sigma(<D>).
 
-    k = |<D> - (n^2-1)/3| / (sigma_star(n)/sqrt(F)), where sigma_star(n) is
-    the shuffling standard deviation of D for the n-word star: sqrt(1) for
-    n=4 and sqrt(2/9) for n=3. Only the 3- and 4-word star phrases are
-    supported, mirroring :func:`mean_D_from_g`.
+    k = |<D> - (n^2-1)/3| / (sigma_star(n)/sqrt(F)), where sigma_star(n)^2 is
+    the shuffling variance of D for the n-word star (:func:`variance_D_star`),
+    e.g. 1 for n=4 and 2/9 for n=3.
     """
-    if n not in (3, 4):
-        raise ValueError("the sigma-separation statistic is defined for n in {3, 4}")
+    if n < 3:
+        raise ValueError(f"the sigma-separation statistic needs n >= 3, got {n}")
     if F <= 0:
         raise ValueError(f"total frequency F must be positive, got {F}")
-    if n == 4:
-        return math.sqrt(float(F)) * abs(mean_D - 5.0)
-    return math.sqrt(float(F) * 4.5) * abs(mean_D - 8.0 / 3.0)
+    return math.sqrt(float(F) / float(variance_D_star(n))) * abs(
+        mean_D - float(expected_D(n))
+    )
 
 
 def three_sigma_verdict(k: float) -> bool:
@@ -404,23 +400,10 @@ def three_sigma_verdict(k: float) -> bool:
 
 
 def order_distance_sum(order: str, head: str) -> int:
-    """D for a single-head phrase linearized as `order` (head governs the rest).
-
-    Routed through the star tree and an explicit arrangement rather than the
-    closed form, so it can serve as an independent cross-check of the
-    head-end counting machinery.
-    """
+    """D for a single-head phrase linearized as `order` (head governs the rest)."""
     if order.count(head) != 1:
         raise ValueError(f"order {order!r} must contain the head {head!r} exactly once")
-    n = len(order)
-    head_pos = order.index(head) + 1
-    leaf_positions = [p for p in range(1, n + 1) if p != head_pos]
-    vertex_order = [0] * n
-    vertex_order[head_pos - 1] = 1  # vertex 1 is the hub
-    for leaf, pos in enumerate(leaf_positions, start=2):
-        vertex_order[pos - 1] = leaf
-    arrangement = LinearArrangement.from_vertex_order(vertex_order)
-    return sum_dependency_distances(star(n, hub=1), arrangement)
+    return single_head_D(len(order), order.index(head) + 1)
 
 
 def anti_locality_counts(
@@ -484,7 +467,8 @@ def analyze(
     p0 defaults to 2/n, the null probability of a head-end placement. The
     four-way integer-transformation test is always run; duplicate
     (trials, successes) pairings collapse, so integer units carry a single
-    p-value and fractional units up to four.
+    p-value and fractional units up to four. One pass over the rows gives
+    the frequency at each head position, and from it F, g and the exact <D>.
     """
     n = table.n
     if n < 3:
@@ -493,9 +477,15 @@ def analyze(
             "every order puts the head at an end"
         )
     null_p = Fraction(p0) if p0 is not None else p_head_at_ends(n)
+    head_at = [(order.index(table.head), freqs) for order, freqs in table.rows.items()]
     reports = []
     for unit in table.units:
-        F = total_frequency(table, unit)
+        at = [Fraction(0)] * n  # frequency of the orders with the head at i+1
+        for i, freqs in head_at:
+            value = freqs.get(unit)
+            if value:
+                at[i] += value
+        F = sum(at)
         if F == 0:
             raise ValueError(f"zero total frequency for unit {unit!r}")
         if F > _MAX_TOTAL_FREQUENCY:
@@ -503,15 +493,14 @@ def analyze(
                 f"total frequency of unit {unit!r} exceeds 2**53 = "
                 f"{_MAX_TOTAL_FREQUENCY}, the largest count a float holds exactly"
             )
-        g = head_end_frequency(table, unit)
+        g = at[0] + at[-1]
         seen: set[tuple[int, int]] = set()
         p_values = []
         for trials, successes, p in quad_binomial_test(g, F, null_p):
             if (trials, successes) not in seen:
                 seen.add((trials, successes))
                 p_values.append((trials, successes, p))
-        mean_D = mean_D_from_g(n, g, F)
-        sigma = sigma_mean_D(star(n), F)
+        mean_D = float(sum(f * single_head_D(n, i + 1) for i, f in enumerate(at)) / F)
         k = sigma_separation_k(mean_D, F, n)
         proportion = float(g / F)
         reports.append(
@@ -523,7 +512,7 @@ def analyze(
                 proportion=proportion,
                 p_values=tuple(p_values),
                 mean_D=mean_D,
-                sigma_mean_D=sigma,
+                sigma_mean_D=sigma_mean_D(star(n), F),
                 k=k,
                 three_sigma_significant=three_sigma_verdict(k),
                 ci_ends=binomial_proportion_ci(proportion, F, alpha),

@@ -225,8 +225,16 @@ def parse_tree(text: str) -> FreeTree:
 
     Fields are semicolon-separated ``key=value`` pairs: ``n`` (required),
     ``edges`` (required, comma-separated ``u-v`` pairs, empty for n=1) and
-    ``head`` (optional). Whitespace around tokens is ignored.
+    ``head`` (optional). The shorthands ``star:N`` and ``path:N`` stand for
+    :func:`star` and :func:`path`. Whitespace around tokens is ignored.
     """
+    kind, sep, count = text.strip().partition(":")
+    if sep and kind in ("star", "path"):
+        try:
+            n = int(count)
+        except ValueError:
+            raise ValueError(f"invalid vertex count {count.strip()!r}") from None
+        return star(n) if kind == "star" else path(n)
     fields: dict[str, str] = {}
     for segment in text.strip().split(";"):
         segment = segment.strip()

@@ -93,6 +93,41 @@ class TestAnalyze:
         assert code == 0
         assert "languages" in out
 
+    def test_byte_order_mark_file(self, capsys, tmp_path, table_file):
+        f = tmp_path / "excel.csv"
+        text = serialize_frequency_table(builtin_dryer_table())
+        f.write_bytes("\ufeff".encode("utf-8") + text.encode("utf-8"))
+        code, out, err = run(capsys, "analyze", "--input", str(f))
+        assert code == 0 and err == ""
+        assert out == run(capsys, "analyze", "--input", table_file)[1]
+
+    def test_byte_order_mark_stdin(self, capsys, monkeypatch, table_file):
+        import io
+
+        text = serialize_frequency_table(builtin_dryer_table())
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        code, out, err = run(capsys, "analyze", "--input", "-")
+        assert code == 0 and err == ""
+        assert out == run(capsys, "analyze", "--input", table_file)[1]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_five_symbol_table(self, capsys, tmp_path, fmt):
+        f = tmp_path / "five.csv"
+        f.write_text(
+            "order,langs,adj\nnABCD,10,2.5\nABnCD,3,1.25\nABCDn,7,0.5\nBnACD,4,3\n"
+        )
+        code, out, err = run(capsys, "analyze", "--input", str(f), "--format", fmt)
+        assert code == 0 and err == ""
+        blocks = out.split("\n\n")
+        assert len(blocks) == 3
+        separator = "," if fmt == "csv" else None
+        distance = [line.split(separator) for line in blocks[1].splitlines()]
+        units = [cells[0] for cells in distance]
+        assert units.count("langs") == 1 and units.count("adj") == 1
+        langs = distance[units.index("langs")]
+        # (10 * D(1) + 3 * D(3) + 7 * D(5) + 4 * D(2)) / 24 = 216 / 24
+        assert float(langs[5]) == 9.0
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("order,u\nnAND,3\nnAND,4\n")
@@ -228,6 +263,12 @@ class TestNullModel:
         assert code == 2
         assert out == ""
         assert err == f"error: --frequency must be a finite number, got {value}\n"
+
+    def test_shorthand_with_bad_count(self, capsys):
+        code, out, err = run(capsys, "null-model", "--tree", "star:abc")
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid vertex count 'abc'\n"
 
     def test_max_n_validated(self, capsys):
         code, _, err = run(capsys, "null-model", "--tree", "star:3", "--max-n", "1")

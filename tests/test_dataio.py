@@ -7,7 +7,6 @@ import pytest
 from headorder.dataio import (
     TableParseError,
     TableSchema,
-    builtin_bundle,
     builtin_dryer_table,
     builtin_sov_aggregates,
     distance_rows,
@@ -56,9 +55,11 @@ class TestEmbeddedData:
         assert g / F == pytest.approx(0.83, abs=5e-3)
 
     def test_bundle(self):
-        bundle = builtin_bundle()
-        assert bundle.dryer_table == builtin_dryer_table()
-        assert bundle.sov_aggregates == builtin_sov_aggregates()
+        # each call hands out an equal, independent copy of the embedded data
+        assert builtin_dryer_table() == builtin_dryer_table()
+        aggregates = builtin_sov_aggregates()
+        aggregates["languages"] = (0, 0)
+        assert builtin_sov_aggregates()["languages"] == (5128, 2971)
 
 
 class TestRoundTrip:

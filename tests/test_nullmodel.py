@@ -246,6 +246,6 @@ class TestUnimodality:
 
     def test_three_sigma_assumptions(self):
         report = check_three_sigma_assumptions(enumerate_D_distribution(star(4)))
-        assert report.finite_variance and report.unimodal and report.satisfied
+        assert report.unimodal and report.satisfied
         report = check_three_sigma_assumptions({0: 0.4, 1: 0.1, 2: 0.5})
-        assert report.finite_variance and not report.unimodal and not report.satisfied
+        assert not report.unimodal and not report.satisfied

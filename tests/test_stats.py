@@ -1,5 +1,7 @@
 import math
+import random
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, permutations
 from math import comb
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from headorder.dataio import builtin_dryer_table
-from headorder.nullmodel import expected_D, sigma_mean_D
+from headorder.nullmodel import expected_D, sigma_mean_D, variance_D_star
 from headorder.stats import (
     OrderFrequencyTable,
     analyze,
@@ -28,7 +30,7 @@ from headorder.stats import (
     three_sigma_verdict,
     total_frequency,
 )
-from headorder.trees import star
+from headorder.trees import LinearArrangement, star, sum_dependency_distances
 
 
 def exact_right_tail(successes: int, trials: int, p0: Fraction) -> Fraction:
@@ -366,6 +368,19 @@ class TestAntiLocalityEquivalence:
         assert order_distance_sum("DnAN", "n") == 4
         assert order_distance_sum("AnND", "n") == 4
 
+    def test_order_distance_sum_matches_star_arrangement(self):
+        # oracle: the star tree with its hub at the head's position, leaves in order
+        for n in range(3, 7):
+            symbols = "ABCDEF"[:n]
+            for order in map("".join, permutations(symbols)):
+                for head in symbols:
+                    leaves = iter(range(2, n + 1))
+                    vertex_order = [1 if s == head else next(leaves) for s in order]
+                    arrangement = LinearArrangement.from_vertex_order(vertex_order)
+                    assert order_distance_sum(order, head) == sum_dependency_distances(
+                        star(n, hub=1), arrangement
+                    )
+
     def test_f_plus_equals_head_end_frequency(self):
         table = builtin_dryer_table()
         for unit in table.units:
@@ -472,6 +487,47 @@ class TestAnalyze:
         )
         assert mean_D_from_g(4, g, F) == pytest.approx(float(weighted / F), abs=1e-12)
 
+
+    def test_mean_D_and_k_exact_for_every_length(self):
+        rng = random.Random(4)
+        for n in range(3, 7):
+            alphabet = "ABCDEn"[-n:]
+            orders = ["".join(p) for p in permutations(alphabet)]
+            for _ in range(5):
+                frequencies = [
+                    Fraction(rng.randint(0, 400), rng.choice((1, 4, 100)))
+                    for _ in orders
+                ]
+                frequencies[0] += 1  # no all-zero table
+                table = make_table(frequencies, alphabet=alphabet)
+                report = analyze(table)[0]
+                F = sum(frequencies)
+                exact_mean = sum(
+                    f * order_distance_sum(o, "n") for o, f in zip(orders, frequencies)
+                ) / F
+                k_squared = (exact_mean - expected_D(n)) ** 2 * F / variance_D_star(n)
+                with localcontext() as context:
+                    context.prec = 40
+                    exact_k = (
+                        Decimal(k_squared.numerator) / Decimal(k_squared.denominator)
+                    ).sqrt()
+                assert abs(Fraction(report.mean_D) - exact_mean) <= 1e-12 * exact_mean
+                assert abs(Decimal(report.k) - exact_k) <= Decimal(1e-12) * exact_k
+                assert report.F == F
+
+    def test_mean_D_equals_bridge_bit_for_bit(self):
+        rng = random.Random(34)
+        tables = [builtin_dryer_table()]
+        for n in (3, 4):
+            alphabet = "ABn" if n == 3 else "DNAn"
+            for _ in range(20):
+                count = math.factorial(n)
+                frequencies = [Fraction(rng.randint(0, 999), 100) for _ in range(count)]
+                frequencies[0] += 1
+                tables.append(make_table(frequencies, alphabet=alphabet))
+        for table in tables:
+            for report in analyze(table):
+                assert report.mean_D == mean_D_from_g(report.n, report.g, report.F)
 
 class TestOrderFrequencyTable:
     def test_rejects_non_permutation_row(self):

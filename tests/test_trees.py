@@ -195,3 +195,13 @@ class TestTextForm:
     def test_unknown_field(self):
         with pytest.raises(ValueError, match="malformed"):
             parse_tree("n=3; edges=1-2,2-3; root=1")
+
+    def test_star_and_path_shorthands(self):
+        assert parse_tree("star:5") == star(5)
+        assert parse_tree(" path: 4 ") == path(4)
+
+    def test_shorthand_with_bad_count(self):
+        with pytest.raises(ValueError, match="invalid vertex count 'abc'"):
+            parse_tree("star:abc")
+        with pytest.raises(ValueError, match=">= 1"):
+            parse_tree("path:0")
