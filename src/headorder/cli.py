@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -41,7 +42,13 @@ REPRODUCE_TARGETS = ("table2", "table3", "fig2", "fig3", "fig4", "sov-footnote",
 DRYER_TARGETS = ("table2", "table3", "fig2", "fig3")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use (not at import).
+
+    Reusing it is safe: every parse starts from a fresh namespace, and the
+    shared ``append`` default is copied, never extended in place.
+    """
     parser = argparse.ArgumentParser(
         prog="headorder",
         description="Head-placement statistics for linearized single-head phrases.",

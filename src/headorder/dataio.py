@@ -12,7 +12,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Sequence, Union
+from typing import IO, Iterable, Sequence, Union
 
 from .nullmodel import DiscreteDistribution, expected_D, sigma_mean_D
 from .rings import PermutationRing, ring_layout
@@ -331,11 +331,15 @@ def ci_rows(
 
 
 def _csv_block(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    return _plain_csv_block(header, ([_fmt(cell) for cell in row] for row in rows))
+
+
+def _plain_csv_block(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """A CSV block of cells that are already strings."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -466,7 +470,7 @@ def export_plot_data(data: object, kind: str) -> str:
             for node, angle, freq in ring_layout(data)
         ]
         layout = _csv_block(("node", "angle_deg", "frequency"), layout_rows)
-        edges = _csv_block(("source", "target"), data.edges)
+        edges = _plain_csv_block(("source", "target"), data.edges)
         return layout + "\n" + edges
     if kind == "distribution":
         if not isinstance(data, DiscreteDistribution):

@@ -38,7 +38,11 @@ class DiscreteDistribution:
 
     def __post_init__(self) -> None:
         support = tuple(self.support)
-        mass = tuple(Fraction(m) for m in self.mass)
+        # Tuples are built from lists throughout this class: a tuple built from
+        # a generator grows by resizing, which skips CPython's tuple free list
+        # on the way in but refills it on release, so a long-lived process
+        # would keep up to 2000 dead tuples of every size below 20 resident.
+        mass = tuple([Fraction(m) for m in self.mass])
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "mass", mass)
         if not support or len(support) != len(mass):
@@ -54,7 +58,7 @@ class DiscreteDistribution:
     def from_counts(cls, counts: Mapping[int, int]) -> "DiscreteDistribution":
         total = sum(counts.values())
         support = tuple(sorted(v for v, c in counts.items() if c))
-        return cls(support, tuple(Fraction(counts[v], total) for v in support))
+        return cls(support, tuple([Fraction(counts[v], total) for v in support]))
 
     def probability(self, value: int) -> Fraction:
         for v, m in zip(self.support, self.mass):
@@ -62,14 +66,25 @@ class DiscreteDistribution:
                 return m
         return Fraction(0)
 
+    def _power_sums(self) -> tuple[int, int, int]:
+        # (sum v*c, sum v^2*c, L), the masses written as c/L over one
+        # common denominator L, so the moments need integer sums only
+        scale = math.lcm(*[m.denominator for m in self.mass])
+        first = second = 0
+        for v, m in zip(self.support, self.mass):
+            weighted = v * m.numerator * (scale // m.denominator)
+            first += weighted
+            second += v * weighted
+        return first, second, scale
+
     def mean(self) -> Fraction:
-        return sum((v * m for v, m in zip(self.support, self.mass)), Fraction(0))
+        first, _, scale = self._power_sums()
+        return Fraction(first, scale)
 
     def variance(self) -> Fraction:
-        mu = self.mean()
-        return sum(
-            ((v - mu) ** 2 * m for v, m in zip(self.support, self.mass)), Fraction(0)
-        )
+        """E[D^2] - E[D]^2, exact."""
+        first, second, scale = self._power_sums()
+        return Fraction(second * scale - first * first, scale * scale)
 
     def to_csv(self) -> str:
         """CSV rows of value, exact probability, decimal probability."""

@@ -96,24 +96,6 @@ def p_head_at_ends(n: int) -> Fraction:
     return Fraction(2, n)
 
 
-def total_frequency(table: OrderFrequencyTable, unit: str) -> Fraction:
-    """F: the summed frequency over all orders, in the given unit."""
-    if unit not in table.units:
-        raise ValueError(f"unknown unit {unit!r}")
-    return sum((freqs.get(unit, Fraction(0)) for freqs in table.rows.values()), Fraction(0))
-
-
-def head_end_frequency(table: OrderFrequencyTable, unit: str) -> Fraction:
-    """g: the summed frequency of orders whose head is first or last."""
-    if unit not in table.units:
-        raise ValueError(f"unknown unit {unit!r}")
-    total = Fraction(0)
-    for order, freqs in table.rows.items():
-        if order[0] == table.head or order[-1] == table.head:
-            total += freqs.get(unit, Fraction(0))
-    return total
-
-
 def mean_D_from_g(n: int, g: Real, F: Real) -> float:
     """<D> from (F, g) alone, for 3- or 4-word star phrases.
 
@@ -350,7 +332,8 @@ def binomial_proportion_ci(
     With Q the Binomial(F, proportion) quantile function, the interval is
     (Q(alpha/2)/F, Q(1 - alpha/2)/F). A non-integer F is rounded to the
     nearest integer (ties away from zero) first. Degenerate proportions 0 and
-    1 return the point interval.
+    1 return the point interval; any other proportion is refused when F < 1/2
+    rounds to 0 trials.
     """
     if not 0 <= proportion <= 1:
         raise ValueError(f"proportion must be in [0, 1], got {proportion}")
@@ -363,6 +346,11 @@ def binomial_proportion_ci(
         return (0.0, 0.0)
     if proportion == 1:
         return (1.0, 1.0)
+    if trials == 0:
+        raise ValueError(
+            f"F = {F} rounds to 0 trials, which leaves no confidence interval "
+            f"for the proportion {proportion:.6g}; F must be at least 1/2"
+        )
     lo = binomial_quantile(alpha / 2, trials, proportion) / trials
     hi = binomial_quantile(1 - alpha / 2, trials, proportion) / trials
     return (lo, hi)

@@ -12,6 +12,7 @@ from itertools import permutations
 
 import networkx as nx
 
+from frequency_oracle import head_end_frequency, total_frequency
 from headorder.dataio import (
     TableSchema,
     builtin_dryer_table,
@@ -44,11 +45,9 @@ from headorder.stats import (
     anti_locality_counts,
     binomial_pmf,
     binomial_proportion_ci,
-    head_end_frequency,
     mean_D_from_g,
     order_distance_sum,
     right_binomial_test,
-    total_frequency,
 )
 from headorder.trees import FreeTree, path, star
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from headorder.cli import main
+import headorder
+from headorder.cli import build_parser, main
 from headorder.dataio import builtin_dryer_table, serialize_frequency_table
 
 
@@ -184,6 +189,16 @@ class TestAnalyze:
             "every order puts the head at an end\n"
         )
 
+    def test_frequency_rounding_to_zero_trials_refused(self, capsys, tmp_path):
+        # F = 2/5 rounds to 0 trials while the head sits at an end in half of it
+        f = tmp_path / "tiny.csv"
+        f.write_text("order,u\nnAND,0.2\nDnAN,0.2\n")
+        code, out, err = run(capsys, "analyze", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: F = 2/5 rounds to 0 trials")
+        assert err.count("\n") == 1
+
     def test_p0_override(self, capsys, table_file):
         code_default, out_default, _ = run(capsys, "analyze", "--input", table_file)
         code_override, out_override, _ = run(
@@ -302,3 +317,37 @@ class TestRingCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --freq") and err.count("\n") == 1
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_append_default_does_not_leak(self, capsys):
+        code, out, _ = run(capsys, "ring", "--symbols", "ABC", "--freq", "ABC=1")
+        assert code == 0
+        assert "ABC,90,1\n" in out
+        code, out, _ = run(capsys, "ring", "--symbols", "ABC")
+        assert code == 0
+        assert "ABC,90,\n" in out
+        assert build_parser().parse_args(["ring"]).freq == []
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        argv = ["null-model", "--tree", "path:6", "--frequency", "50", "--distribution"]
+        build_parser.cache_clear()
+        fresh = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["null-model", "--max-n", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == fresh
+        assert fresh[0] == 0
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(headorder.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        check = (
+            "import headorder.cli as cli; "
+            "raise SystemExit(cli.build_parser.cache_info().currsize)"
+        )
+        subprocess.run([sys.executable, "-c", check], env=env, check=True)

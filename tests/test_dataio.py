@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from frequency_oracle import head_end_frequency, total_frequency
 from headorder.dataio import (
     TableParseError,
     TableSchema,
@@ -18,7 +19,7 @@ from headorder.dataio import (
 )
 from headorder.nullmodel import enumerate_D_distribution
 from headorder.rings import build_ring
-from headorder.stats import analyze, head_end_frequency, total_frequency
+from headorder.stats import analyze
 from headorder.trees import star
 
 

@@ -55,6 +55,15 @@ def enumerated_D_distribution(tree) -> DiscreteDistribution:
     return DiscreteDistribution.from_counts(counts)
 
 
+def fraction_moments(dist) -> tuple[Fraction, Fraction]:
+    """Oracle: mean and central second moment summed one Fraction at a time."""
+    mean = sum((v * m for v, m in zip(dist.support, dist.mass)), Fraction(0))
+    variance = sum(
+        ((v - mean) ** 2 * m for v, m in zip(dist.support, dist.mass)), Fraction(0)
+    )
+    return mean, variance
+
+
 class TestDiscreteDistribution:
     def test_validation(self):
         with pytest.raises(ValueError, match="sum"):
@@ -73,6 +82,32 @@ class TestDiscreteDistribution:
         dist = DiscreteDistribution((4, 6), (Fraction(1, 2), Fraction(1, 2)))
         assert dist.mean() == 5
         assert dist.variance() == 1
+
+    @pytest.mark.parametrize(
+        "support, mass",
+        [
+            ((1, 2, 5), (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))),
+            (
+                (-4, 0, 7, 9),
+                (Fraction(2, 7), Fraction(1, 5), Fraction(3, 10), Fraction(3, 14)),
+            ),
+            (
+                (10**20, 10**20 + 3),
+                (Fraction(1, 10**9 + 7), Fraction(10**9 + 6, 10**9 + 7)),
+            ),
+            ((6,), (Fraction(1),)),
+        ],
+    )
+    def test_integer_moments_equal_fraction_sums(self, support, mass):
+        dist = DiscreteDistribution(support, mass)
+        assert (dist.mean(), dist.variance()) == fraction_moments(dist)
+
+    def test_integer_moments_on_dp_distributions(self):
+        trees = [star(n) for n in range(1, 10)] + [path(n) for n in range(1, 10)]
+        trees += [prufer_tree(n, seed) for n in range(3, 10) for seed in range(3)]
+        for tree in trees:
+            dist = enumerate_D_distribution(tree)
+            assert (dist.mean(), dist.variance()) == fraction_moments(dist)
 
     def test_probability_lookup(self):
         dist = DiscreteDistribution((4, 6), (Fraction(1, 2), Fraction(1, 2)))

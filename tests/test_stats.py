@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from frequency_oracle import head_end_frequency, total_frequency
 from headorder.dataio import builtin_dryer_table
 from headorder.nullmodel import expected_D, sigma_mean_D, variance_D_star
 from headorder.stats import (
@@ -20,7 +21,6 @@ from headorder.stats import (
     binomial_pmf,
     binomial_proportion_ci,
     binomial_quantile,
-    head_end_frequency,
     mean_D_from_g,
     order_distance_sum,
     p_head_at_ends,
@@ -28,7 +28,6 @@ from headorder.stats import (
     right_binomial_test,
     sigma_separation_k,
     three_sigma_verdict,
-    total_frequency,
 )
 from headorder.trees import LinearArrangement, star, sum_dependency_distances
 
@@ -299,6 +298,12 @@ class TestConfidenceInterval:
     def test_degenerate_proportions(self):
         assert binomial_proportion_ci(0.0, 50, 0.05) == (0.0, 0.0)
         assert binomial_proportion_ci(1.0, 50, 0.05) == (1.0, 1.0)
+
+    def test_F_rounding_to_zero_trials(self):
+        assert binomial_proportion_ci(1.0, Fraction(2, 5)) == (1.0, 1.0)
+        assert binomial_proportion_ci(0.5, Fraction(1, 2)) == (0.0, 1.0)
+        with pytest.raises(ValueError, match=r"F = 2/5 rounds to 0 trials"):
+            binomial_proportion_ci(0.5, Fraction(2, 5))
 
     def test_quantile_against_scipy(self):
         for trials in (10, 217, 576):
