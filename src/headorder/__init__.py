@@ -20,7 +20,6 @@ from .dataio import (
     serialize_frequency_table,
 )
 from .nullmodel import (
-    DEFAULT_ENUMERATION_CAP,
     DiscreteDistribution,
     EnumerationCapError,
     NullMoments,
@@ -34,59 +33,44 @@ from .nullmodel import (
     variance_D,
     variance_D_star,
 )
-from .rings import PermutationRing, adjacent, build_ring, ring_layout, swap_distance
+from .rings import PermutationRing, build_ring, ring_layout, swap_distance
 from .stats import (
     HeadPlacementReport,
     OrderFrequencyTable,
     analyze,
-    anti_locality_counts,
-    binomial_pmf,
     binomial_proportion_ci,
     binomial_quantile,
     mean_D_from_g,
-    order_distance_sum,
-    p_head_at_ends,
     quad_binomial_test,
     right_binomial_test,
     sigma_separation_k,
     three_sigma_verdict,
 )
 from .trees import (
-    DependencyDistanceSummary,
     FreeTree,
-    LinearArrangement,
     d_max_single_head,
     d_min_single_head,
     degree_second_moment,
     parse_tree,
     path,
     single_head_D,
-    single_head_summary,
     star,
-    sum_dependency_distances,
-    tree_to_text,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DependencyDistanceSummary",
     "DiscreteDistribution",
-    "DEFAULT_ENUMERATION_CAP",
     "EnumerationCapError",
     "FreeTree",
     "HeadPlacementReport",
-    "LinearArrangement",
     "NullMoments",
     "OrderFrequencyTable",
     "PermutationRing",
     "TableParseError",
     "TableSchema",
     "ThreeSigmaAssumptions",
-    "adjacent",
     "analyze",
-    "anti_locality_counts",
-    "binomial_pmf",
     "binomial_proportion_ci",
     "binomial_quantile",
     "build_ring",
@@ -103,8 +87,6 @@ __all__ = [
     "load_frequency_table",
     "mean_D_from_g",
     "null_moments",
-    "order_distance_sum",
-    "p_head_at_ends",
     "parse_tree",
     "path",
     "quad_binomial_test",
@@ -116,12 +98,9 @@ __all__ = [
     "sigma_mean_D",
     "sigma_separation_k",
     "single_head_D",
-    "single_head_summary",
     "star",
-    "sum_dependency_distances",
     "swap_distance",
     "three_sigma_verdict",
-    "tree_to_text",
     "variance_D",
     "variance_D_star",
 ]

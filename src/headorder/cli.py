@@ -11,7 +11,6 @@ import argparse
 import functools
 import math
 import sys
-from fractions import Fraction
 
 from . import reproduce
 from .dataio import (
@@ -23,12 +22,13 @@ from .dataio import (
     format_p_value,
     head_end_test_cells,
     load_frequency_table,
+    parse_exact,
     render_block,
     reports_to_csv,
     reports_to_text,
 )
 from .nullmodel import (
-    DEFAULT_ENUMERATION_CAP,
+    DP_CEILING,
     EnumerationCapError,
     check_three_sigma_assumptions,
     enumerate_D_distribution,
@@ -91,9 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_null.add_argument(
         "--distribution",
         action="store_true",
-        help="dump the exact pmf (subset DP over gap cuts, O(2^n * n))",
+        help=(
+            "dump the exact pmf (subset DP over gap cuts, O(2^n * n), "
+            f"n <= {DP_CEILING})"
+        ),
     )
-    p_null.add_argument("--max-n", type=int, default=DEFAULT_ENUMERATION_CAP)
     p_null.add_argument("--out")
     p_null.set_defaults(func=_cmd_null_model)
 
@@ -190,7 +192,7 @@ def _cmd_analyze(args) -> int:
             source = handle.read()
     schema = TableSchema(head=args.head, strict=args.strict)
     table = load_frequency_table(source, schema)
-    p0 = _parse_fraction(args.p0, "--p0") if args.p0 else None
+    p0 = parse_exact(args.p0, "--p0") if args.p0 else None
     reports = analyze(table, alpha=args.alpha, p0=p0)
     if args.format == "csv":
         _write(args, reports_to_csv(reports))
@@ -200,8 +202,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_null_model(args) -> int:
-    if args.max_n < 2:
-        raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
     if args.frequency is not None and not math.isfinite(args.frequency):
         raise ValueError(f"--frequency must be a finite number, got {args.frequency}")
     tree = parse_tree(args.tree)
@@ -217,7 +217,7 @@ def _cmd_null_model(args) -> int:
         )
     output = "\n".join(lines) + "\n"
     if args.distribution:
-        dist = enumerate_D_distribution(tree, max_n=args.max_n)
+        dist = enumerate_D_distribution(tree)
         assumptions = check_three_sigma_assumptions(dist)
         agrees = dist.mean() == moments.mean and dist.variance() == moments.variance
         output += (
@@ -236,20 +236,10 @@ def _cmd_ring(args) -> int:
         order, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--freq expects ORDER=COUNT, got {item!r}")
-        frequencies[order.strip()] = _parse_fraction(value, f"--freq {item!r}")
+        frequencies[order.strip()] = parse_exact(value, f"--freq {item!r}")
     ring = build_ring(args.symbols, frequencies or None)
     _write(args, export_plot_data(ring, "fig4"))
     return 0
-
-
-def _parse_fraction(text: str, what: str) -> Fraction:
-    """An exact number from a flag value such as '1/2', '0.5' or '564'."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(
-            f"{what}: expected a number or fraction, got {text!r}"
-        ) from None
 
 
 def main(argv=None) -> int:
@@ -257,10 +247,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (EnumerationCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

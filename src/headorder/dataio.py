@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence, Union
 
-from .nullmodel import DiscreteDistribution, expected_D, sigma_mean_D
+from .nullmodel import expected_D, sigma_mean_D
 from .rings import PermutationRing, ring_layout
 from .stats import (
     HeadPlacementReport,
@@ -116,6 +117,37 @@ def _read_text(source: Union[str, bytes, IO]) -> str:
     return data
 
 
+# Fraction("1e3000000") builds 10**3000000 before anything can check it
+# (1.4 s, and the cost grows faster than the exponent), so larger decimal
+# exponents are refused first.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_exact(text: str, what: str) -> Fraction:
+    """An exact number from text such as '564', '0.5', '1/2' or '2.5e3'.
+
+    Raises ValueError, prefixed with `what`, for anything else and for a
+    decimal exponent above MAX_DECIMAL_EXPONENT in magnitude.
+    """
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        # the length test spares int() an exponent of thousands of digits
+        too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+        if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"{what}: the decimal exponent of {text!r} exceeds "
+                f"{MAX_DECIMAL_EXPONENT} in magnitude"
+            )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"{what}: expected a number or fraction, got {text!r}"
+        ) from None
+
+
 def load_frequency_table(
     source: Union[str, bytes, IO], schema: TableSchema
 ) -> OrderFrequencyTable:
@@ -123,9 +155,9 @@ def load_frequency_table(
 
     Layout: header ``order,<unit>,<unit>,...``, then one row per order
     string. Frequencies may be integers, decimals, or ``a/b`` rationals; they
-    are parsed exactly. One leading byte-order mark (as in Excel's
-    "CSV UTF-8") is skipped. Raises :class:`TableParseError` with the
-    offending line number on any malformed content.
+    are parsed exactly by :func:`parse_exact`. One leading byte-order mark
+    (as in Excel's "CSV UTF-8") is skipped. Raises :class:`TableParseError`
+    with the offending line number on any malformed content.
     """
     text = _read_text(source).removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text))
@@ -168,11 +200,9 @@ def load_frequency_table(
         for unit, cell in zip(units, row[1:]):
             cell = cell.strip()
             try:
-                value = Fraction(cell)
-            except (ValueError, ZeroDivisionError):
-                raise TableParseError(
-                    line, f"invalid frequency {cell!r} for unit {unit!r}"
-                ) from None
+                value = parse_exact(cell, f"invalid frequency for unit {unit!r}")
+            except ValueError as exc:
+                raise TableParseError(line, str(exc)) from None
             if value < 0:
                 raise TableParseError(
                     line, f"negative frequency {cell!r} for unit {unit!r}"
@@ -429,7 +459,6 @@ def export_plot_data(data: object, kind: str) -> str:
     * ``fig2``: report list -> per-unit proportions (ends / middle) with CI.
     * ``fig3``: report list -> per-unit null mean, sigma, <D>, 1..3-sigma bands.
     * ``fig4``: permutation ring -> node layout block plus edge block.
-    * ``distribution``: exact pmf of D.
     """
     if kind == "fig2":
         reports = _expect_reports(data, kind)
@@ -472,16 +501,10 @@ def export_plot_data(data: object, kind: str) -> str:
         layout = _csv_block(("node", "angle_deg", "frequency"), layout_rows)
         edges = _plain_csv_block(("source", "target"), data.edges)
         return layout + "\n" + edges
-    if kind == "distribution":
-        if not isinstance(data, DiscreteDistribution):
-            raise ValueError("export kind 'distribution' expects a DiscreteDistribution")
-        return data.to_csv()
     raise ValueError(f"unknown export kind {kind!r}")
 
 
 def _expect_reports(data: object, kind: str) -> Sequence[HeadPlacementReport]:
-    if isinstance(data, HeadPlacementReport):
-        return [data]
     if isinstance(data, Sequence) and data and all(
         isinstance(item, HeadPlacementReport) for item in data
     ):

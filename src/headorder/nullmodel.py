@@ -18,15 +18,14 @@ from .trees import FreeTree, degree_second_moment
 
 Real = Union[int, float, Fraction]
 
-DEFAULT_ENUMERATION_CAP = 9
 # The DP visits 2^n vertex subsets and keeps up to C(n, n/2) polynomials
-# alive: n=16 takes ~0.5 s and ~20 MB, and each further vertex multiplies
-# both by ~2.3. No cap lifts this ceiling.
+# alive: n=14 takes ~70 ms, n=16 ~0.5 s and ~20 MB, and each further vertex
+# multiplies both by ~2.3.
 DP_CEILING = 16
 
 
 class EnumerationCapError(RuntimeError):
-    """The exact distribution would exceed the configured size cap."""
+    """The exact distribution would exceed DP_CEILING."""
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,6 @@ class DiscreteDistribution:
         total = sum(counts.values())
         support = tuple(sorted(v for v, c in counts.items() if c))
         return cls(support, tuple([Fraction(counts[v], total) for v in support]))
-
-    def probability(self, value: int) -> Fraction:
-        for v, m in zip(self.support, self.mass):
-            if v == value:
-                return m
-        return Fraction(0)
 
     def _power_sums(self) -> tuple[int, int, int]:
         # (sum v*c, sum v^2*c, L), the masses written as c/L over one
@@ -141,9 +134,7 @@ def null_moments(tree: FreeTree, F: Real | None = None) -> NullMoments:
     return NullMoments(expected_D(tree.n), variance_D(tree), sigma)
 
 
-def enumerate_D_distribution(
-    tree: FreeTree, max_n: int = DEFAULT_ENUMERATION_CAP
-) -> DiscreteDistribution:
+def enumerate_D_distribution(tree: FreeTree) -> DiscreteDistribution:
     """Exact pmf of D over all n! arrangements of the tree's vertices.
 
     An arrangement is a chain of vertex sets S_1 < ... < S_n, S_k holding the
@@ -152,21 +143,13 @@ def enumerate_D_distribution(
     in D of the orderings of S, packed into one int with `width` bits per
     coefficient; adding vertex v shifts it by cut(S + v) = cut(S) + deg v
     - 2|N(v) & S|. Cost is O(2^n * n) big-int operations, so it refuses above
-    `max_n`, and above DP_CEILING whatever `max_n` says, rather than sampling,
-    since its whole point is exactness.
+    DP_CEILING rather than sampling, since its whole point is exactness.
     """
     n = tree.n
     if n > DP_CEILING:
         raise EnumerationCapError(
             f"the exact distribution for n={n} would visit 2**{n} = {2**n:,} "
-            f"vertex subsets, above the ceiling of n <= {DP_CEILING} "
-            f"that no cap lifts"
-        )
-    if n > max_n:
-        raise EnumerationCapError(
-            f"the exact distribution for n={n} visits 2**{n} = {2**n:,} vertex "
-            f"subsets, which exceeds the cap of n <= {max_n}; "
-            f"raise the cap explicitly if you really want this"
+            f"vertex subsets, above the limit of n <= {DP_CEILING}"
         )
     neighbours = [0] * n
     for u, v in tree.edges:
@@ -207,19 +190,12 @@ def enumerate_D_distribution(
     return DiscreteDistribution.from_counts(counts)
 
 
-def _mass_sequence(dist: DiscreteDistribution | Mapping) -> list:
-    if isinstance(dist, DiscreteDistribution):
-        return list(dist.mass)
-    return [dist[key] for key in sorted(dist)]
-
-
-def is_unimodal(dist: DiscreteDistribution | Mapping) -> bool:
+def is_unimodal(dist: DiscreteDistribution) -> bool:
     """True iff the masses rise (weakly) to a single peak, then fall (weakly).
 
-    Plateaus count as unimodal, so a two-point distribution qualifies. Accepts
-    either a DiscreteDistribution or any mapping value -> mass.
+    Plateaus count as unimodal, so a two-point distribution qualifies.
     """
-    masses = _mass_sequence(dist)
+    masses = dist.mass
     i = 0
     while i + 1 < len(masses) and masses[i + 1] >= masses[i]:
         i += 1
@@ -238,13 +214,7 @@ class ThreeSigmaAssumptions:
 
     unimodal: bool
 
-    @property
-    def satisfied(self) -> bool:
-        return self.unimodal
 
-
-def check_three_sigma_assumptions(
-    dist: DiscreteDistribution | Mapping,
-) -> ThreeSigmaAssumptions:
+def check_three_sigma_assumptions(dist: DiscreteDistribution) -> ThreeSigmaAssumptions:
     """Diagnostic for applying the 3-sigma rule to the supplied distribution."""
     return ThreeSigmaAssumptions(unimodal=is_unimodal(dist))

@@ -54,11 +54,6 @@ def swap_distance(a: Sequence[str], b: Sequence[str]) -> int:
     return inversions
 
 
-def adjacent(a: Sequence[str], b: Sequence[str]) -> bool:
-    """True iff one adjacent swap turns `a` into `b`."""
-    return swap_distance(a, b) == 1
-
-
 @dataclass(frozen=True)
 class PermutationRing:
     """All m! orders of an alphabet, joined at swap distance one.
@@ -72,6 +67,11 @@ class PermutationRing:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     frequencies: dict[str, object] | None = None
+
+
+# build_ring refuses more symbols before building any order: m = 8 gives
+# 40,320 orders (~0.8 s through the CLI); each further symbol costs ~9x.
+MAX_RING_SYMBOLS = 8
 
 
 def _three_symbol_cycle(symbols: tuple[str, ...]) -> list[str]:
@@ -92,14 +92,19 @@ def build_ring(
 
     Optional `frequencies` annotate nodes (order string -> count) for plotting;
     keys must be valid orders. Only m=3 yields a ring proper; larger alphabets
-    produce the adjacent-transposition graph, with a warning. Edges are
-    generated from the m-1 adjacent swaps of each node, not searched for among
-    all pairs of orders.
+    produce the adjacent-transposition graph, with a warning, and more than
+    MAX_RING_SYMBOLS symbols are refused. Edges are generated from the m-1
+    adjacent swaps of each node, not searched for among all pairs of orders.
     """
     symbols = _as_order(alphabet)
     m = len(symbols)
     if m < 2:
         raise ValueError(f"need at least 2 symbols, got {m}")
+    if m > MAX_RING_SYMBOLS:
+        raise ValueError(
+            f"{m} symbols are above the limit of {MAX_RING_SYMBOLS}: "
+            "the graph holds all m! orders"
+        )
     if any(len(s) != 1 for s in symbols):
         raise ValueError("constituent symbols must be single characters")
     if m == 3:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Union
 
 from .nullmodel import expected_D, sigma_mean_D, variance_D_star
-from .trees import d_max_single_head, d_min_single_head, single_head_D, star
+from .trees import single_head_D, star
 
 Real = Union[int, float, Fraction]
 
@@ -87,13 +87,6 @@ class OrderFrequencyTable:
         if unit not in self.units:
             raise ValueError(f"unknown unit {unit!r}")
         return self.rows.get(order, {}).get(unit, Fraction(0))
-
-
-def p_head_at_ends(n: int) -> Fraction:
-    """Probability 2/n that a uniformly random order puts the head at an end."""
-    if n < 2:
-        raise ValueError(f"phrase length must be >= 2, got {n}")
-    return Fraction(2, n)
 
 
 def mean_D_from_g(n: int, g: Real, F: Real) -> float:
@@ -182,16 +175,6 @@ def binomial_log_pmf(k: int, n: int, p: Real) -> float:
     )
     log_scale = math.log(2 * math.pi) + math.log(k) + math.log1p(-k / n)
     return exponent - 0.5 * log_scale
-
-
-def binomial_pmf(k: int, n: int, p: Real) -> float:
-    """P(X = k) for X ~ Binomial(n, p); exact to float rounding."""
-    p = float(p)
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    return math.exp(binomial_log_pmf(k, n, p))
 
 
 def _validate_counts(successes: Real, trials: Real) -> tuple[int, int]:
@@ -387,34 +370,6 @@ def three_sigma_verdict(k: float) -> bool:
     return k >= 3
 
 
-def order_distance_sum(order: str, head: str) -> int:
-    """D for a single-head phrase linearized as `order` (head governs the rest)."""
-    if order.count(head) != 1:
-        raise ValueError(f"order {order!r} must contain the head {head!r} exactly once")
-    return single_head_D(len(order), order.index(head) + 1)
-
-
-def anti_locality_counts(
-    table: OrderFrequencyTable, unit: str
-) -> tuple[Fraction, Fraction]:
-    """(f_plus, f_minus): frequency of orders with D above / below the null mean.
-
-    For star phrases with integer frequencies, f_plus coincides with the
-    head-end frequency g, which makes the anti-locality test and the head-end
-    test the same binomial test.
-    """
-    d_random = expected_D(table.n)
-    f_plus = f_minus = Fraction(0)
-    for order in table.rows:
-        d = order_distance_sum(order, table.head)
-        freq = table.frequency(order, unit)
-        if d > d_random:
-            f_plus += freq
-        elif d < d_random:
-            f_minus += freq
-    return f_plus, f_minus
-
-
 @dataclass(frozen=True)
 class HeadPlacementReport:
     """Per-unit analysis bundle for one order-frequency table."""
@@ -431,14 +386,6 @@ class HeadPlacementReport:
     three_sigma_significant: bool
     ci_ends: tuple[float, float]
     ci_mid: tuple[float, float]
-
-    @property
-    def d_min(self) -> int:
-        return d_min_single_head(self.n)
-
-    @property
-    def d_max(self) -> int:
-        return d_max_single_head(self.n)
 
     @property
     def null_mean_D(self) -> Fraction:
@@ -464,7 +411,7 @@ def analyze(
             f"head-end test is degenerate for n={n}: "
             "every order puts the head at an end"
         )
-    null_p = Fraction(p0) if p0 is not None else p_head_at_ends(n)
+    null_p = Fraction(p0) if p0 is not None else Fraction(2, n)
     head_at = [(order.index(table.head), freqs) for order, freqs in table.rows.items()]
     reports = []
     for unit in table.units:

@@ -1,4 +1,4 @@
-"""Free trees, linear arrangements, and exact dependency-distance sums.
+"""Free trees and exact dependency-distance sums of single-head phrases.
 
 Distances are measured in words: vertices adjacent in the sequence are at
 distance one. Everything here is exact integer or rational arithmetic so
@@ -10,15 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True)
 class FreeTree:
     """Undirected tree on vertices 1..n with an optional designated head.
 
-    Vertex labels are opaque: they carry no positional meaning. Sequence
-    positions are assigned separately by a :class:`LinearArrangement`.
+    Vertex labels are opaque: they carry no positional meaning.
     """
 
     n: int
@@ -69,16 +67,6 @@ class FreeTree:
             deg[v - 1] += 1
         return tuple(deg)
 
-    def degree(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} outside range 1..{self.n}")
-        return self.degrees[v - 1]
-
-    @property
-    def is_star(self) -> bool:
-        """True when one vertex is adjacent to all others (any tree for n <= 3)."""
-        return self.n <= 2 or max(self.degrees) == self.n - 1
-
 
 def star(n: int, hub: int = 1) -> FreeTree:
     """Star tree on n vertices: `hub` adjacent to every other vertex."""
@@ -96,80 +84,11 @@ def path(n: int) -> FreeTree:
     return FreeTree(n, frozenset((v, v + 1) for v in range(1, n)))
 
 
-@dataclass(frozen=True)
-class LinearArrangement:
-    """A bijection from vertices 1..n to sequence positions 1..n.
-
-    Stored as a tuple where entry v-1 is the position of vertex v.
-    """
-
-    positions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        positions = tuple(self.positions)
-        object.__setattr__(self, "positions", positions)
-        if sorted(positions) != list(range(1, len(positions) + 1)):
-            raise ValueError("positions must form a permutation of 1..n")
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearArrangement":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_vertex_order(cls, order: Iterable[int]) -> "LinearArrangement":
-        """Build from the vertices listed in sequence order (first to last)."""
-        order = tuple(order)
-        positions = [0] * len(order)
-        for pos, v in enumerate(order, start=1):
-            if not 1 <= v <= len(order) or positions[v - 1]:
-                raise ValueError("vertex order must list each vertex 1..n exactly once")
-            positions[v - 1] = pos
-        return cls(tuple(positions))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, int]) -> "LinearArrangement":
-        n = len(mapping)
-        if sorted(mapping) != list(range(1, n + 1)):
-            raise ValueError("mapping must cover vertices 1..n exactly")
-        return cls(tuple(mapping[v] for v in range(1, n + 1)))
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
-    def position_of(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} outside range 1..{self.n}")
-        return self.positions[v - 1]
-
-    def vertex_order(self) -> tuple[int, ...]:
-        """Vertices listed by sequence position."""
-        order = [0] * self.n
-        for v, pos in enumerate(self.positions, start=1):
-            order[pos - 1] = v
-        return tuple(order)
-
-    def mirrored(self) -> "LinearArrangement":
-        """The reversed sequence (position p becomes n + 1 - p)."""
-        return LinearArrangement(tuple(self.n + 1 - p for p in self.positions))
-
-
-def sum_dependency_distances(tree: FreeTree, arrangement: LinearArrangement) -> int:
-    """Total D: the sum over edges of |pos(u) - pos(v)|."""
-    if arrangement.n != tree.n:
-        raise ValueError(
-            f"arrangement covers {arrangement.n} vertices but the tree has {tree.n}"
-        )
-    pos = arrangement.positions
-    return sum(abs(pos[u - 1] - pos[v - 1]) for u, v in tree.edges)
-
-
 def single_head_D(n: int, head_position: int) -> int:
     """D for an n-word single-head phrase with the head at the given position.
 
-    Closed form: D(p) = p^2 - (n+1)p + n(n+1)/2. Equals
-    :func:`sum_dependency_distances` on the star tree with the hub placed at
-    `head_position`, for any ordering of the leaves.
+    Closed form of the sum of |p - j| over the other positions j:
+    D(p) = p^2 - (n+1)p + n(n+1)/2.
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
@@ -197,27 +116,21 @@ def degree_second_moment(tree: FreeTree) -> Fraction:
     return Fraction(sum(d * d for d in tree.degrees), tree.n)
 
 
-@dataclass(frozen=True)
-class DependencyDistanceSummary:
-    """A distance sum D together with its attainable range, in words."""
-
-    D: int
-    D_min: int
-    D_max: int
-
-    def __post_init__(self) -> None:
-        if not self.D_min <= self.D <= self.D_max:
-            raise ValueError(
-                f"D={self.D} outside the attainable range "
-                f"{self.D_min}..{self.D_max}"
-            )
+# parse_tree refuses larger trees before building any edge. At this size
+# null-model takes ~30 ms; star:100000 takes ~0.5 s and ~60 MB.
+MAX_TREE_VERTICES = 10_000
 
 
-def single_head_summary(n: int, head_position: int) -> DependencyDistanceSummary:
-    """D for the given head placement, bundled with the single-head bounds."""
-    return DependencyDistanceSummary(
-        single_head_D(n, head_position), d_min_single_head(n), d_max_single_head(n)
-    )
+def _vertex_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise ValueError(f"invalid vertex count {text.strip()!r}") from None
+    if n > MAX_TREE_VERTICES:
+        raise ValueError(
+            f"a tree of {n} vertices is above the limit of {MAX_TREE_VERTICES:,}"
+        )
+    return n
 
 
 def parse_tree(text: str) -> FreeTree:
@@ -227,13 +140,11 @@ def parse_tree(text: str) -> FreeTree:
     ``edges`` (required, comma-separated ``u-v`` pairs, empty for n=1) and
     ``head`` (optional). The shorthands ``star:N`` and ``path:N`` stand for
     :func:`star` and :func:`path`. Whitespace around tokens is ignored.
+    More than MAX_TREE_VERTICES vertices are refused.
     """
     kind, sep, count = text.strip().partition(":")
     if sep and kind in ("star", "path"):
-        try:
-            n = int(count)
-        except ValueError:
-            raise ValueError(f"invalid vertex count {count.strip()!r}") from None
+        n = _vertex_count(count)
         return star(n) if kind == "star" else path(n)
     fields: dict[str, str] = {}
     for segment in text.strip().split(";"):
@@ -250,10 +161,7 @@ def parse_tree(text: str) -> FreeTree:
     for required in ("n", "edges"):
         if required not in fields:
             raise ValueError(f"tree form is missing the {required!r} field")
-    try:
-        n = int(fields["n"])
-    except ValueError:
-        raise ValueError(f"invalid vertex count {fields['n']!r}") from None
+    n = _vertex_count(fields["n"])
     edges = []
     if fields["edges"]:
         for token in fields["edges"].split(","):
@@ -272,11 +180,3 @@ def parse_tree(text: str) -> FreeTree:
             raise ValueError(f"invalid head {fields['head']!r}") from None
     return FreeTree(n, frozenset(edges), head)
 
-
-def tree_to_text(tree: FreeTree) -> str:
-    """Render a tree in the one-line form accepted by :func:`parse_tree`."""
-    edges = ",".join(f"{u}-{v}" for u, v in sorted(tree.edges))
-    text = f"n={tree.n}; edges={edges}"
-    if tree.head is not None:
-        text += f"; head={tree.head}"
-    return text

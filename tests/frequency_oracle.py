@@ -1,7 +1,8 @@
-"""F and g summed straight from a table's rows: the oracle for `analyze`.
+"""Direct recomputations from a table's rows: the oracles for `analyze`.
 
-`analyze` takes F and g from its one pass over the head positions; these
-recompute them independently, one order at a time.
+`analyze` takes F, g and <D> from its one pass over the head positions, and
+<D> through the closed form `single_head_D`; these recompute them
+independently, one order at a time.
 """
 
 from fractions import Fraction
@@ -25,3 +26,25 @@ def head_end_frequency(table: OrderFrequencyTable, unit: str) -> Fraction:
         if order[0] == table.head or order[-1] == table.head:
             total += freqs.get(unit, Fraction(0))
     return total
+
+
+def order_distance_sum(order, head) -> int:
+    """D of a single-head order: the gaps from the head to every other word."""
+    return sum(abs(j - order.index(head)) for j in range(len(order)))
+
+
+def anti_locality_counts(table: OrderFrequencyTable, unit: str) -> tuple[Fraction, Fraction]:
+    """(f_plus, f_minus): frequency of orders with D above / below (n^2 - 1)/3.
+
+    For star phrases f_plus is the head-end frequency g, which makes the
+    anti-locality test and the head-end test the same binomial test.
+    """
+    null_mean = Fraction(table.n**2 - 1, 3)
+    f_plus = f_minus = Fraction(0)
+    for order, freqs in table.rows.items():
+        d = order_distance_sum(order, table.head)
+        if d > null_mean:
+            f_plus += freqs.get(unit, Fraction(0))
+        elif d < null_mean:
+            f_minus += freqs.get(unit, Fraction(0))
+    return f_plus, f_minus

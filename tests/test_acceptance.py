@@ -12,7 +12,12 @@ from itertools import permutations
 
 import networkx as nx
 
-from frequency_oracle import head_end_frequency, total_frequency
+from frequency_oracle import (
+    anti_locality_counts,
+    head_end_frequency,
+    order_distance_sum,
+    total_frequency,
+)
 from headorder.dataio import (
     TableSchema,
     builtin_dryer_table,
@@ -42,11 +47,9 @@ from headorder.reproduce import (
 from headorder.rings import build_ring, swap_distance
 from headorder.stats import (
     OrderFrequencyTable,
-    anti_locality_counts,
-    binomial_pmf,
+    binomial_log_pmf,
     binomial_proportion_ci,
     mean_D_from_g,
-    order_distance_sum,
     right_binomial_test,
 )
 from headorder.trees import FreeTree, path, star
@@ -196,7 +199,9 @@ def test_criterion_6_swap_ring():
 def test_criterion_7_property_suites():
     # pmf normalization up to 10^4 trials
     for trials in (10, 576, 10_000):
-        total = math.fsum(binomial_pmf(k, trials, 0.5) for k in range(trials + 1))
+        total = math.fsum(
+            math.exp(binomial_log_pmf(k, trials, 0.5)) for k in range(trials + 1)
+        )
         assert abs(total - 1.0) <= 1e-12
 
     # right-tail p-value is monotone non-increasing in successes; 1 at zero

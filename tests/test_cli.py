@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -239,31 +240,24 @@ class TestNullModel:
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run(
-            capsys, "null-model", "--tree", "path:12", "--distribution"
+            capsys, "null-model", "--tree", "path:17", "--distribution"
         )
         assert code == 2
-        assert "cap" in err
+        assert "n <= 16" in err
 
     def test_ceiling_refuses_a_huge_cap(self, capsys):
         code, out, err = run(
-            capsys, "null-model", "--tree", "path:40", "--max-n", "40", "--distribution"
+            capsys, "null-model", "--tree", "path:40", "--distribution"
         )
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "2**40" in err and err.count("\n") == 1
 
-    def test_cap_can_be_raised(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "null-model",
-            "--tree",
-            "star:5",
-            "--distribution",
-            "--max-n",
-            "5",
-        )
+    def test_distribution_below_the_ceiling(self, capsys):
+        code, out, _ = run(capsys, "null-model", "--tree", "star:12", "--distribution")
         assert code == 0
-        assert "unimodal" in out
+        assert "unimodal: yes" in out
+        assert "oracle agrees with closed forms: yes" in out
 
     def test_bad_tree_spec(self, capsys):
         code, _, err = run(capsys, "null-model", "--tree", "n=3")
@@ -284,11 +278,6 @@ class TestNullModel:
         assert code == 2
         assert out == ""
         assert err == "error: invalid vertex count 'abc'\n"
-
-    def test_max_n_validated(self, capsys):
-        code, _, err = run(capsys, "null-model", "--tree", "star:3", "--max-n", "1")
-        assert code == 2
-        assert "--max-n" in err
 
 
 class TestRingCommand:
@@ -319,6 +308,39 @@ class TestRingCommand:
         assert err.startswith("error: --freq") and err.count("\n") == 1
 
 
+class TestResourceRefusals:
+    """Requests too large to serve are refused before the work is built."""
+
+    def refuse(self, capsys, *argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_huge_exponent_cell(self, capsys, tmp_path):
+        f = tmp_path / "exponent.csv"
+        f.write_text("order,u\nnAND,3\nDnAN,0e100000\n")
+        err = self.refuse(capsys, "analyze", "--input", str(f))
+        assert err.startswith("error: line 3:") and "exceeds 1000 in magnitude" in err
+
+    def test_huge_exponent_p0(self, capsys, tmp_path):
+        f = tmp_path / "dryer.csv"
+        f.write_text(serialize_frequency_table(builtin_dryer_table()))
+        err = self.refuse(capsys, "analyze", "--input", str(f), "--p0", "5e-100001")
+        assert err.startswith("error: --p0:") and "exceeds 1000 in magnitude" in err
+
+    def test_too_many_ring_symbols(self, capsys):
+        err = self.refuse(capsys, "ring", "--symbols", "ABCDEFGHI")
+        assert "9 symbols are above the limit of 8" in err
+
+    def test_too_many_tree_vertices(self, capsys):
+        err = self.refuse(capsys, "null-model", "--tree", "star:10001")
+        assert "above the limit of 10,000" in err
+
+
 class TestParserReuse:
     def test_one_parser_per_process(self):
         assert build_parser() is build_parser()
@@ -337,7 +359,7 @@ class TestParserReuse:
         build_parser.cache_clear()
         fresh = run(capsys, *argv)
         with pytest.raises(SystemExit) as exc:
-            main(["null-model", "--max-n", "x"])
+            main(["null-model", "--tree", "star:3", "--frequency", "x"])
         assert exc.value.code == 2
         capsys.readouterr()
         assert run(capsys, *argv) == fresh

@@ -6,6 +6,7 @@ import pytest
 
 from frequency_oracle import head_end_frequency, total_frequency
 from headorder.dataio import (
+    MAX_DECIMAL_EXPONENT,
     TableParseError,
     TableSchema,
     builtin_dryer_table,
@@ -14,6 +15,7 @@ from headorder.dataio import (
     export_plot_data,
     head_end_test_rows,
     load_frequency_table,
+    parse_exact,
     reports_to_csv,
     serialize_frequency_table,
 )
@@ -220,8 +222,9 @@ class TestExports:
 
     def test_distribution_export(self):
         dist = enumerate_D_distribution(star(4))
-        text = export_plot_data(dist, "distribution")
-        assert "4,1/2,0.5" in text
+        assert "4,1/2,0.5" in dist.to_csv()
+        with pytest.raises(ValueError, match="unknown export kind"):
+            export_plot_data(dist, "distribution")
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError, match="expects"):
@@ -246,3 +249,25 @@ class TestExports:
         reports = analyze(builtin_dryer_table())
         assert len(head_end_test_rows(reports)) == 6
         assert len(distance_rows(reports)) == 7
+
+
+class TestParseExact:
+    def test_exact_values(self):
+        assert parse_exact("564", "x") == 564
+        assert parse_exact(" 1/2 ", "x") == Fraction(1, 2)
+        assert parse_exact("2.5e3", "x") == 2500
+        assert parse_exact("1_0E-0_1", "x") == 1
+        limit = MAX_DECIMAL_EXPONENT
+        assert parse_exact(f"1e{limit}", "x") == 10**limit
+        assert parse_exact(f"1e-{limit}", "x") == Fraction(1, 10**limit)
+
+    def test_exponent_bound(self):
+        limit = MAX_DECIMAL_EXPONENT
+        for text in (f"1e{limit + 1}", f"5E-{limit + 1}", "0e999999999", "1e" + "9" * 5000):
+            with pytest.raises(ValueError, match="^x: the decimal exponent .* exceeds"):
+                parse_exact(text, "x")
+
+    def test_invalid(self):
+        for text in ("many", "1/0", "nan", "1e5/2", ""):
+            with pytest.raises(ValueError, match="^x: expected a number or fraction"):
+                parse_exact(text, "x")

@@ -23,6 +23,13 @@ from headorder.nullmodel import (
 from headorder.trees import FreeTree, path, single_head_D, star
 
 
+def masses(*decimals: float) -> DiscreteDistribution:
+    """Masses on 0, 1, 2, ... written as exact decimals."""
+    return DiscreteDistribution(
+        range(len(decimals)), [Fraction(str(m)) for m in decimals]
+    )
+
+
 def tree_from_networkx(graph) -> FreeTree:
     relabel = {old: new for new, old in enumerate(graph.nodes, start=1)}
     return FreeTree(
@@ -109,11 +116,6 @@ class TestDiscreteDistribution:
             dist = enumerate_D_distribution(tree)
             assert (dist.mean(), dist.variance()) == fraction_moments(dist)
 
-    def test_probability_lookup(self):
-        dist = DiscreteDistribution((4, 6), (Fraction(1, 2), Fraction(1, 2)))
-        assert dist.probability(4) == Fraction(1, 2)
-        assert dist.probability(5) == 0
-
     def test_csv(self):
         dist = DiscreteDistribution((2, 3), (Fraction(1, 3), Fraction(2, 3)))
         text = dist.to_csv()
@@ -184,12 +186,8 @@ class TestEnumerationOracle:
         assert dist.mass == (Fraction(1),)
 
     def test_cap_refuses(self):
-        with pytest.raises(EnumerationCapError, match="cap"):
-            enumerate_D_distribution(path(10))
-        # explicit cap raise is honored
-        enumerate_D_distribution(path(4), max_n=4)
-        with pytest.raises(EnumerationCapError):
-            enumerate_D_distribution(path(5), max_n=4)
+        with pytest.raises(EnumerationCapError, match=rf"n <= {DP_CEILING}$"):
+            enumerate_D_distribution(path(DP_CEILING + 1))
 
     def test_oracle_matches_formulas_on_all_shapes(self):
         for n in range(2, 8):
@@ -245,12 +243,12 @@ class TestCutDP:
         for n in range(1, 15):
             hub_D = Counter(single_head_D(n, position) for position in range(1, n + 1))
             expected = DiscreteDistribution.from_counts(hub_D)
-            assert enumerate_D_distribution(star(n), max_n=n) == expected
+            assert enumerate_D_distribution(star(n)) == expected
 
     def test_moments_beyond_the_default_cap(self):
         for n in (12, 14):
             for tree in (path(n), prufer_tree(n, n)):
-                dist = enumerate_D_distribution(tree, max_n=n)
+                dist = enumerate_D_distribution(tree)
                 assert dist.mean() == expected_D(n)
                 assert dist.variance() == variance_D(tree)
 
@@ -258,29 +256,29 @@ class TestCutDP:
         # refused before any DP work, so a huge n costs nothing
         for n in (DP_CEILING + 1, 40):
             with pytest.raises(EnumerationCapError, match=rf"2\*\*{n} "):
-                enumerate_D_distribution(path(n), max_n=n)
+                enumerate_D_distribution(path(n))
 
 
 class TestUnimodality:
     def test_binomial_pmf_is_unimodal(self):
-        pmf = {k: Fraction(comb(10, k), 2**10) for k in range(11)}
+        pmf = DiscreteDistribution.from_counts({k: comb(10, k) for k in range(11)})
         assert is_unimodal(pmf)
 
     def test_two_local_maxima(self):
-        assert not is_unimodal({0: 0.4, 1: 0.1, 2: 0.5})
+        assert not is_unimodal(masses(0.4, 0.1, 0.5))
 
     def test_two_point_distribution_counts_as_unimodal(self):
         assert is_unimodal(enumerate_D_distribution(star(4)))
 
     def test_plateau_is_unimodal(self):
-        assert is_unimodal({0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25})
+        assert is_unimodal(masses(0.25, 0.25, 0.25, 0.25))
 
     def test_monotone_sequences_are_unimodal(self):
-        assert is_unimodal({0: 0.1, 1: 0.2, 2: 0.7})
-        assert is_unimodal({0: 0.7, 1: 0.2, 2: 0.1})
+        assert is_unimodal(masses(0.1, 0.2, 0.7))
+        assert is_unimodal(masses(0.7, 0.2, 0.1))
 
     def test_three_sigma_assumptions(self):
         report = check_three_sigma_assumptions(enumerate_D_distribution(star(4)))
-        assert report.unimodal and report.satisfied
-        report = check_three_sigma_assumptions({0: 0.4, 1: 0.1, 2: 0.5})
-        assert not report.unimodal and not report.satisfied
+        assert report.unimodal
+        report = check_three_sigma_assumptions(masses(0.4, 0.1, 0.5))
+        assert not report.unimodal

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headorder.rings import adjacent, build_ring, ring_layout, swap_distance
+from headorder.rings import MAX_RING_SYMBOLS, build_ring, ring_layout, swap_distance
 
 SYMBOLS = "abcdefg"
 
@@ -37,9 +37,10 @@ class TestSwapDistance:
         assert swap_distance("SOV", "SOV") == 0
 
     def test_adjacency(self):
-        assert adjacent("SOV", "SVO")
-        assert not adjacent("SOV", "VOS")
-        assert not adjacent("SOV", "SOV")
+        edges = {frozenset(edge) for edge in build_ring("SOV").edges}
+        assert frozenset(("SOV", "SVO")) in edges
+        assert frozenset(("SOV", "VOS")) not in edges
+        assert frozenset(("SOV",)) not in edges
 
     def test_full_reversal_attains_maximum(self):
         for m in range(2, 8):
@@ -140,6 +141,13 @@ class TestRing:
     def test_too_few_symbols(self):
         with pytest.raises(ValueError, match="at least 2"):
             build_ring("S")
+
+    def test_too_many_symbols(self):
+        # refused before any order is built, however long the alphabet
+        for m in (MAX_RING_SYMBOLS + 1, 5000):
+            symbols = [chr(0x4E00 + i) for i in range(m)]
+            with pytest.raises(ValueError, match=f"limit of {MAX_RING_SYMBOLS}"):
+                build_ring(symbols)
 
     def test_layout_angles(self):
         ring = build_ring("SOV")

@@ -11,25 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from frequency_oracle import head_end_frequency, total_frequency
+from frequency_oracle import (
+    anti_locality_counts,
+    head_end_frequency,
+    order_distance_sum,
+    total_frequency,
+)
 from headorder.dataio import builtin_dryer_table
 from headorder.nullmodel import expected_D, sigma_mean_D, variance_D_star
 from headorder.stats import (
     OrderFrequencyTable,
     analyze,
-    anti_locality_counts,
-    binomial_pmf,
+    binomial_log_pmf,
     binomial_proportion_ci,
     binomial_quantile,
     mean_D_from_g,
-    order_distance_sum,
-    p_head_at_ends,
     quad_binomial_test,
     right_binomial_test,
     sigma_separation_k,
     three_sigma_verdict,
 )
-from headorder.trees import LinearArrangement, star, sum_dependency_distances
+from headorder.trees import single_head_D, star
 
 
 def exact_right_tail(successes: int, trials: int, p0: Fraction) -> Fraction:
@@ -63,11 +65,14 @@ def exact_quantile(q: float, trials: int, p: Fraction) -> int:
 
 class TestHeadEndBasics:
     def test_p_head_at_ends(self):
-        assert p_head_at_ends(4) == Fraction(1, 2)
-        assert p_head_at_ends(3) == Fraction(2, 3)
-        assert p_head_at_ends(2) == 1
-        with pytest.raises(ValueError):
-            p_head_at_ends(1)
+        # analyze's null probability of a head-end placement defaults to 2/n
+        for alphabet in ("ABn", "DNAn", "ABCDn"):
+            n = len(alphabet)
+            table = make_table(range(1, math.factorial(n) + 1), alphabet=alphabet)
+            assert analyze(table) == analyze(table, p0=Fraction(2, n))
+            assert analyze(table) != analyze(table, p0=Fraction(1, n))
+        with pytest.raises(ValueError, match="degenerate"):
+            analyze(make_table([1, 1], alphabet="An"))
 
     def test_head_end_frequency_on_embedded_table(self):
         table = builtin_dryer_table()
@@ -205,7 +210,9 @@ class TestRightBinomialTest:
     def test_pmf_normalization(self):
         for trials in (10, 576, 10_000):
             for p0 in (0.5, 2 / 3):
-                total = math.fsum(binomial_pmf(k, trials, p0) for k in range(trials + 1))
+                total = math.fsum(
+                    math.exp(binomial_log_pmf(k, trials, p0)) for k in range(trials + 1)
+                )
                 assert abs(total - 1.0) <= 1e-12
 
     def test_validation(self):
@@ -374,17 +381,13 @@ class TestAntiLocalityEquivalence:
         assert order_distance_sum("AnND", "n") == 4
 
     def test_order_distance_sum_matches_star_arrangement(self):
-        # oracle: the star tree with its hub at the head's position, leaves in order
+        # the gaps summed word by word equal the closed form analyze uses
         for n in range(3, 7):
             symbols = "ABCDEF"[:n]
             for order in map("".join, permutations(symbols)):
                 for head in symbols:
-                    leaves = iter(range(2, n + 1))
-                    vertex_order = [1 if s == head else next(leaves) for s in order]
-                    arrangement = LinearArrangement.from_vertex_order(vertex_order)
-                    assert order_distance_sum(order, head) == sum_dependency_distances(
-                        star(n, hub=1), arrangement
-                    )
+                    position = order.index(head) + 1
+                    assert order_distance_sum(order, head) == single_head_D(n, position)
 
     def test_f_plus_equals_head_end_frequency(self):
         table = builtin_dryer_table()
