@@ -193,6 +193,9 @@ def _cmd_analyze(args) -> int:
     schema = TableSchema(head=args.head, strict=args.strict)
     table = load_frequency_table(source, schema)
     p0 = parse_exact(args.p0, "--p0") if args.p0 else None
+    # the exact test comes first: float() of a Fraction above 1e308 overflows
+    if p0 is not None and not (0 < p0 < 1 and 0.0 < float(p0) < 1.0):
+        raise ValueError(f"--p0 must lie in (0, 1) as a float, got {args.p0!r}")
     reports = analyze(table, alpha=args.alpha, p0=p0)
     if args.format == "csv":
         _write(args, reports_to_csv(reports))
@@ -244,6 +247,10 @@ def _cmd_ring(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    for arg in sys.argv[1:] if argv is None else argv:
+        option, sep, value = arg.partition("=")
+        if sep and value == "--" and option.startswith("-"):  # argparse drops it
+            parser.error(f"argument {option}: expected one argument")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

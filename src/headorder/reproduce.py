@@ -2,9 +2,11 @@
 
 Each target has a builder (rows or CSV from the live pipeline) and a checker
 returning a list of mismatch descriptions; an empty list means the
-reproduction passes at the documented tolerances. Builders and checkers take
-the Dryer reports (`dryer_reports`) or the S/O/V rows (`sov_footnote_rows`)
-as an argument, so one run computes each once however many targets use it.
+reproduction passes. Every published-value comparison goes through one loop,
+`_compare`, under the column rules kept beside the tables in `published`.
+Builders and checkers take the Dryer reports (`dryer_reports`) or the S/O/V
+rows (`sov_footnote_rows`) as an argument, so one run computes each once
+however many targets use it.
 """
 
 from __future__ import annotations
@@ -12,13 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import published
-from .dataio import (
-    builtin_dryer_table,
-    builtin_sov_aggregates,
-    distance_rows,
-    export_plot_data,
-    head_end_test_rows,
-)
+from .dataio import builtin_dryer_table, builtin_sov_aggregates, distance_rows
+from .dataio import export_plot_data, head_end_test_rows
 from .rings import build_ring
 from .stats import HeadPlacementReport, analyze, right_binomial_test
 
@@ -36,20 +33,9 @@ def table2_rows(
 
 
 def check_table2(rows) -> list[str]:
-    problems = []
-    expected = published.TABLE2_PUBLISHED
-    if len(rows) != len(expected):
-        return [f"expected {len(expected)} rows, computed {len(rows)}"]
-    for (unit, prop, F, g, p), (r_unit, r_prop, r_F, r_g, r_p) in zip(rows, expected):
-        where = f"{r_unit} (F={r_F}, g={r_g})"
-        if unit != r_unit or F != r_F or g != r_g:
-            problems.append(f"{where}: computed counts ({unit}, F={F}, g={g})")
-            continue
-        if not published.within(prop, r_prop, published.PROPORTION_TOL):
-            problems.append(f"{where}: proportion {prop:.4f} vs published {r_prop}")
-        if not published.same_to_sig_figs(p, r_p):
-            problems.append(f"{where}: p-value {p:.3g} vs published {r_p:.3g}")
-    return problems
+    ref = published.TABLE2_PUBLISHED
+    labels = [f"{unit} (F={F}, g={g})" for unit, _, F, g, _ in ref]
+    return _compare(rows, ref, labels, published.TABLE2_COLUMNS, published.TABLE2_RULES)
 
 
 def table3_rows(reports: list[HeadPlacementReport]):
@@ -57,29 +43,9 @@ def table3_rows(reports: list[HeadPlacementReport]):
 
 
 def check_table3(rows) -> list[str]:
-    problems = []
-    expected = published.TABLE3_PUBLISHED
-    if len(rows) != len(expected):
-        return [f"expected {len(expected)} rows, computed {len(rows)}"]
-    for computed, reference in zip(rows, expected):
-        unit, F, d_lo, mu, sigma, mean_D, d_hi, k = computed
-        r_unit, r_F, r_dlo, r_mu, r_sigma, r_mean, r_dhi, r_k = reference
-        where = f"{r_unit} (F={r_F})"
-        if unit != r_unit or abs(float(F) - r_F) > 1e-9:
-            problems.append(f"{where}: computed ({unit}, F={float(F)})")
-            continue
-        if d_lo != r_dlo or d_hi != r_dhi or mu != r_mu:
-            problems.append(
-                f"{where}: D range/mean ({d_lo}, {mu}, {d_hi}) vs "
-                f"({r_dlo}, {r_mu}, {r_dhi})"
-            )
-        if not published.within(sigma, r_sigma, published.SIGMA_TOL):
-            problems.append(f"{where}: sigma {sigma:.4f} vs published {r_sigma}")
-        if not published.within(mean_D, r_mean, published.MEAN_D_TOL):
-            problems.append(f"{where}: <D> {mean_D:.4f} vs published {r_mean}")
-        if not published.within(k, r_k, published.K_TOL):
-            problems.append(f"{where}: k {k:.4f} vs published {r_k}")
-    return problems
+    ref = published.TABLE3_PUBLISHED
+    labels = [f"{unit} (F={F})" for unit, F, *_ in ref]
+    return _compare(rows, ref, labels, published.TABLE3_COLUMNS, published.TABLE3_RULES)
 
 
 def sov_footnote_rows() -> list[tuple[str, int, int, Fraction, float]]:
@@ -101,19 +67,12 @@ def sov_reproducing_p0(rows) -> dict[str, list[Fraction]]:
 
 
 def check_sov_footnote(rows) -> list[str]:
+    """Each unit is reproduced by exactly one p0, the same one for all units."""
     matches = sov_reproducing_p0(rows)
-    problems = []
-    for unit, reference in published.SOV_PUBLISHED.items():
-        if not matches[unit]:
-            problems.append(
-                f"{unit}: no tested null probability reproduces published {reference:.2g}"
-            )
-        elif len(matches[unit]) > 1:
-            problems.append(f"{unit}: several null probabilities reproduce the value")
-    distinct = {tuple(m) for m in matches.values() if m}
-    if len(distinct) > 1:
-        problems.append("units are reproduced by different null probabilities")
-    return problems
+    distinct = {tuple(p0s) for p0s in matches.values()}
+    if len(distinct) == 1 and all(len(p0s) == 1 for p0s in distinct):
+        return []
+    return [f"not one null probability common to all units: {matches}"]
 
 
 def fig2_csv(reports: list[HeadPlacementReport]) -> str:
@@ -121,22 +80,20 @@ def fig2_csv(reports: list[HeadPlacementReport]) -> str:
 
 
 def check_fig2(reports: list[HeadPlacementReport]) -> list[str]:
-    problems = []
-    reference = {unit: prop for unit, prop, _, _, _ in published.TABLE2_PUBLISHED[:2]}
-    reference["adjusted"] = 0.567  # caption values g=123.2, F=217.4
-    for r in reports:
-        target = reference[r.unit]
-        if not published.within(r.proportion, target, published.PROPORTION_TOL):
-            problems.append(
-                f"{r.unit}: proportion {r.proportion:.4f} vs published {target}"
-            )
-        for lo, hi, prop in (
-            (*r.ci_ends, r.proportion),
-            (*r.ci_mid, 1 - r.proportion),
-        ):
-            if not (0.0 <= lo <= prop <= hi <= 1.0):
-                problems.append(f"{r.unit}: interval [{lo}, {hi}] does not bracket {prop}")
-    return problems
+    first = {row[0]: row for row in reversed(published.TABLE2_PUBLISHED)}
+    problems = _compare(
+        [(r.proportion,) for r in reports],
+        [first[r.unit][1:2] for r in reports],
+        [r.unit for r in reports],
+        published.TABLE2_COLUMNS[1:2],
+        published.TABLE2_RULES[1:2],
+    )
+    return problems + [
+        f"{r.unit}: interval [{lo}, {hi}] does not bracket {prop}"
+        for r in reports
+        for lo, hi, prop in ((*r.ci_ends, r.proportion), (*r.ci_mid, 1 - r.proportion))
+        if not 0.0 <= lo <= prop <= hi <= 1.0
+    ]
 
 
 def fig3_csv(reports: list[HeadPlacementReport]) -> str:
@@ -144,17 +101,14 @@ def fig3_csv(reports: list[HeadPlacementReport]) -> str:
 
 
 def check_fig3(reports: list[HeadPlacementReport]) -> list[str]:
-    problems = []
-    reference = {row[0]: row for row in published.TABLE3_PUBLISHED[:3]}
-    for r in reports:
-        _, _, _, r_mu, r_sigma, r_mean, _, _ = reference[r.unit]
-        if float(r.null_mean_D) != r_mu:
-            problems.append(f"{r.unit}: null mean {float(r.null_mean_D)} vs {r_mu}")
-        if not published.within(r.sigma_mean_D, r_sigma, published.SIGMA_TOL):
-            problems.append(f"{r.unit}: sigma {r.sigma_mean_D:.4f} vs {r_sigma}")
-        if not published.within(r.mean_D, r_mean, published.MEAN_D_TOL):
-            problems.append(f"{r.unit}: <D> {r.mean_D:.4f} vs {r_mean}")
-    return problems
+    first = {row[0]: row for row in reversed(published.TABLE3_PUBLISHED)}
+    return _compare(
+        [(r.null_mean_D, r.sigma_mean_D, r.mean_D) for r in reports],
+        [first[r.unit][3:6] for r in reports],
+        [r.unit for r in reports],
+        published.TABLE3_COLUMNS[3:6],
+        published.TABLE3_RULES[3:6],
+    )
 
 
 def sov_ring(frequencies=None):
@@ -166,15 +120,24 @@ def fig4_csv() -> str:
 
 
 def check_fig4() -> list[str]:
-    ring = sov_ring()
-    problems = []
-    if ring.nodes != published.RING_NODES_PUBLISHED:
-        problems.append(f"node cycle {ring.nodes} vs {published.RING_NODES_PUBLISHED}")
-    if len(ring.edges) != 6:
-        problems.append(f"expected 6 edges, got {len(ring.edges)}")
-    edge_set = {frozenset(edge) for edge in ring.edges}
-    cycle = published.RING_NODES_PUBLISHED
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        if frozenset((a, b)) not in edge_set:
-            problems.append(f"missing ring edge {a}-{b}")
-    return problems
+    ring, cycle = sov_ring(), published.RING_NODES_PUBLISHED
+    edges = sorted(map(sorted, zip(cycle, cycle[1:] + cycle[:1])))
+    return _compare(
+        [(ring.nodes, sorted(map(sorted, ring.edges)))],
+        [(cycle, edges)],
+        ["SOV ring"],
+        published.RING_COLUMNS,
+        published.RING_RULES,
+    )
+
+
+def _compare(rows, expected, labels, columns, rules) -> list[str]:
+    """One message, led by its row's label, per cell that breaks its column's rule."""
+    if len(rows) != len(expected):
+        return [f"expected {len(expected)} rows, computed {len(rows)}"]
+    return [
+        f"{label}: {column} {value} vs published {reference}"
+        for row, reference_row, label in zip(rows, expected, labels)
+        for column, rule, value, reference in zip(columns, rules, row, reference_row)
+        if not published.agrees(value, reference, rule)
+    ]

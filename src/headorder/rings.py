@@ -8,7 +8,6 @@ orders joined at swap distance one form a 6-cycle.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Sequence
@@ -92,9 +91,9 @@ def build_ring(
 
     Optional `frequencies` annotate nodes (order string -> count) for plotting;
     keys must be valid orders. Only m=3 yields a ring proper; larger alphabets
-    produce the adjacent-transposition graph, with a warning, and more than
-    MAX_RING_SYMBOLS symbols are refused. Edges are generated from the m-1
-    adjacent swaps of each node, not searched for among all pairs of orders.
+    produce the adjacent-transposition graph, and more than MAX_RING_SYMBOLS
+    symbols are refused. Edges are generated from the m-1 adjacent swaps of
+    each node, not searched for among all pairs of orders.
     """
     symbols = _as_order(alphabet)
     m = len(symbols)
@@ -111,12 +110,6 @@ def build_ring(
         nodes = tuple(_three_symbol_cycle(symbols))
     else:
         nodes = tuple("".join(p) for p in permutations(symbols))
-        if m > 3:
-            warnings.warn(
-                f"{m} symbols give the adjacent-transposition graph on {len(nodes)} "
-                "nodes, not a ring",
-                stacklevel=2,
-            )
     # each node lists its later neighbours in node order, the order a scan
     # over all pairs (i < j) would find them in
     index = {node: i for i, node in enumerate(nodes)}

@@ -421,13 +421,13 @@ def analyze(
             if value:
                 at[i] += value
         F = sum(at)
-        if F == 0:
-            raise ValueError(f"zero total frequency for unit {unit!r}")
         if F > _MAX_TOTAL_FREQUENCY:
             raise ValueError(
                 f"total frequency of unit {unit!r} exceeds 2**53 = "
                 f"{_MAX_TOTAL_FREQUENCY}, the largest count a float holds exactly"
             )
+        if float(F) == 0:  # also an F below the smallest float, 5e-324
+            raise ValueError(f"zero total frequency for unit {unit!r}")
         g = at[0] + at[-1]
         seen: set[tuple[int, int]] = set()
         p_values = []

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -153,6 +154,13 @@ class TestAnalyze:
         assert code == 2
         assert "zero total frequency" in err
 
+    def test_frequency_below_the_smallest_float(self, capsys, tmp_path):
+        f = tmp_path / "tiny.csv"
+        f.write_text("order,u\nnAD,1e-324\n")
+        code, out, err = run(capsys, "analyze", "--input", str(f))
+        assert code == 2 and out == ""
+        assert err == "error: zero total frequency for unit 'u'\n"
+
     def test_three_symbol_table(self, capsys, tmp_path):
         f = tmp_path / "sov.csv"
         f.write_text("order,langs\nSOV,564\nSVO,488\nVSO,95\nVOS,25\nOVS,11\nOSV,4\n")
@@ -170,6 +178,17 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --p0") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "p0", ["1e400", "1e1000", "-1e400", "1e308", "1e-1000", "0.9999999999999999999999"]
+    )
+    def test_p0_range_checked_at_the_flag(self, capsys, table_file, p0):
+        # 1e-1000 and 0.99…9 lie inside (0, 1) but round to 0.0 and 1.0 as floats
+        code, out, err = run(capsys, "analyze", "--input", table_file, f"--p0={p0}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --p0 must lie in (0, 1) as a float, got {p0!r}\n"
+        assert len(err.encode()) < 200
 
     def test_count_beyond_float_exactness(self, capsys, tmp_path):
         f = tmp_path / "huge.csv"
@@ -287,6 +306,14 @@ class TestRingCommand:
         assert "SOV,90," in out
         assert "source,target" in out
 
+    def test_four_symbols_print_no_warning(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "ring", "--symbols", "ABCD")
+        assert code == 0
+        assert err == "" and caught == []
+        assert out.count(",90,") == 1 and "ABCD" in out
+
     def test_frequencies(self, capsys):
         code, out, _ = run(capsys, "ring", "--symbols", "SOV", "--freq", "SOV=564")
         assert code == 0
@@ -373,3 +400,22 @@ class TestParserReuse:
             "raise SystemExit(cli.build_parser.cache_info().currsize)"
         )
         subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["null-model", "--tree=star:3", "--frequency=--"],
+        ["analyze", "--input=-", "--alpha=--"],
+        ["ring", "--freq=--"],
+        ["reproduce", "table2", "--out=--"],
+    ],
+)
+def test_double_dash_value_refused(capsys, argv):
+    # argparse would drop a "--" value and hand the command an empty list
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith("expected one argument")

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,39 @@ class TestCheckersCatchDrift:
         unit, F, d_lo, mu, sigma, mean_D, d_hi, k = rows[2]
         rows[2] = (unit, F, d_lo, mu, sigma, mean_D + 0.0015, d_hi, k)
         assert any("<D>" in problem for problem in check_table3(rows))
+
+    def test_fig2_reads_table2_proportion(self, monkeypatch):
+        drifted = list(published.TABLE2_PUBLISHED)
+        unit, prop, F, g, p = drifted[0]
+        drifted[0] = (unit, prop + 0.01, F, g, p)
+        monkeypatch.setattr(published, "TABLE2_PUBLISHED", tuple(drifted))
+        assert any("proportion" in problem for problem in check_fig2(dryer_reports()))
+
+    def test_fig2_interval_must_bracket(self):
+        reports = dryer_reports()
+        report = reports[0]
+        reports[0] = dataclasses.replace(
+            report, ci_ends=(report.proportion + 0.01, report.proportion + 0.02)
+        )
+        assert check_fig2(reports) != []
+
+    def test_fig3_reads_table3_sigma(self, monkeypatch):
+        drifted = list(published.TABLE3_PUBLISHED)
+        unit, F, d_lo, mu, sigma, mean_D, d_hi, k = drifted[1]
+        drifted[1] = (unit, F, d_lo, mu, sigma + 0.01, mean_D, d_hi, k)
+        monkeypatch.setattr(published, "TABLE3_PUBLISHED", tuple(drifted))
+        assert any("sigma" in problem for problem in check_fig3(dryer_reports()))
+
+    def test_fig4_node_order(self, monkeypatch):
+        nodes = published.RING_NODES_PUBLISHED
+        monkeypatch.setattr(
+            published, "RING_NODES_PUBLISHED", (nodes[0], nodes[2], nodes[1], *nodes[3:])
+        )
+        assert check_fig4() != []
+
+    def test_sov_value_no_p0_reproduces(self, monkeypatch):
+        monkeypatch.setitem(published.SOV_PUBLISHED, "languages", 1e-10)
+        assert check_sov_footnote(sov_footnote_rows()) != []
 
 
 class TestCliMismatchExit:
