@@ -21,7 +21,6 @@ from .dataio import (
 )
 from .nullmodel import (
     DiscreteDistribution,
-    EnumerationCapError,
     NullMoments,
     ThreeSigmaAssumptions,
     check_three_sigma_assumptions,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiscreteDistribution",
-    "EnumerationCapError",
     "FreeTree",
     "HeadPlacementReport",
     "NullMoments",

@@ -29,7 +29,6 @@ from .dataio import (
 )
 from .nullmodel import (
     DP_CEILING,
-    EnumerationCapError,
     check_three_sigma_assumptions,
     enumerate_D_distribution,
     null_moments,
@@ -254,7 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EnumerationCapError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,15 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence, Union
 
-from .nullmodel import expected_D, sigma_mean_D
 from .rings import PermutationRing, ring_layout
-from .stats import (
-    HeadPlacementReport,
-    OrderFrequencyTable,
-    mean_D_from_g,
-    sigma_separation_k,
-)
-from .trees import d_max_single_head, d_min_single_head, star
+from .stats import HeadPlacementReport, OrderFrequencyTable
+from .trees import d_max_single_head, d_min_single_head
 
 # Frequencies of the 24 preferred orders of demonstrative (D), numeral (N),
 # adjective (A) and noun (n), from Dryer's (2018) survey; measured in
@@ -270,13 +264,11 @@ def head_end_test_rows(
     reports: Sequence[HeadPlacementReport],
 ) -> list[tuple[str, float, int, int, float]]:
     """(unit, g/F, F, g, p) rows, one per integer-transformed test."""
-    rows = []
-    for report in reports:
-        for trials, successes, p in report.p_values:
-            if trials == 0:  # degenerate floor of a fractional F below 1
-                continue
-            rows.append((report.unit, successes / trials, trials, successes, p))
-    return rows
+    return [
+        (report.unit, successes / trials, trials, successes, p)
+        for report in reports
+        for trials, successes, p in report.p_values
+    ]
 
 
 def distance_rows(
@@ -284,45 +276,17 @@ def distance_rows(
 ) -> list[tuple[str, object, int, Fraction, float, float, int, float]]:
     """(unit, F, D_min, null mean, sigma, <D>, D_max, k) rows.
 
-    Units with fractional frequencies get one extra row per integer
-    transformation, recomputed at the transformed (F, g) through
-    :func:`mean_D_from_g`. Only n <= 4 has these rows: from n=5 on (F, g)
-    no longer fix <D>.
+    One row per unit, followed by the unit's integer-transformation rows
+    (:attr:`HeadPlacementReport.transforms`), if any.
     """
     rows = []
     for report in reports:
         n = report.n
         d_lo, d_hi = d_min_single_head(n), d_max_single_head(n)
-        null_mean = expected_D(n)
-        rows.append(
-            (
-                report.unit,
-                report.F,
-                d_lo,
-                null_mean,
-                report.sigma_mean_D,
-                report.mean_D,
-                d_hi,
-                report.k,
-            )
-        )
-        if n <= 4 and len(report.p_values) > 1:
-            for trials, successes, _ in report.p_values:
-                if trials == 0:
-                    continue
-                mean_D = mean_D_from_g(n, successes, trials)
-                rows.append(
-                    (
-                        report.unit,
-                        Fraction(trials),
-                        d_lo,
-                        null_mean,
-                        sigma_mean_D(star(n), trials),
-                        mean_D,
-                        d_hi,
-                        sigma_separation_k(mean_D, trials, n),
-                    )
-                )
+        mu = report.null_mean_D
+        exact = (report.F, report.mean_D, report.sigma_mean_D, report.k)
+        for F, mean_D, sigma, k in (exact, *report.transforms):
+            rows.append((report.unit, F, d_lo, mu, sigma, mean_D, d_hi, k))
     return rows
 
 

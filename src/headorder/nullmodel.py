@@ -24,10 +24,6 @@ Real = Union[int, float, Fraction]
 DP_CEILING = 16
 
 
-class EnumerationCapError(RuntimeError):
-    """The exact distribution would exceed DP_CEILING."""
-
-
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Exact probability mass function over integer values of D."""
@@ -147,7 +143,7 @@ def enumerate_D_distribution(tree: FreeTree) -> DiscreteDistribution:
     """
     n = tree.n
     if n > DP_CEILING:
-        raise EnumerationCapError(
+        raise ValueError(
             f"the exact distribution for n={n} would visit 2**{n} = {2**n:,} "
             f"vertex subsets, above the limit of n <= {DP_CEILING}"
         )

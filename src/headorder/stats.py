@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .nullmodel import expected_D, sigma_mean_D, variance_D_star
-from .trees import single_head_D, star
+from .nullmodel import expected_D, variance_D_star
+from .trees import single_head_D
 
 Real = Union[int, float, Fraction]
 
@@ -95,8 +95,8 @@ def mean_D_from_g(n: int, g: Real, F: Real) -> float:
     With D two-valued ({2,3} resp. {4,6}), the frequency-weighted average is
     [D_min (F - g) + D_max g] / F, i.e. 2 + g/F for n=3 and 4 + 2 g/F for n=4.
     From n=5 on D takes more values and (F, g) no longer fix <D>. This bridge
-    serves the integer-transformed Table 3 rows, where only (F, g) are known;
-    :func:`analyze` computes <D> from the head positions for every n.
+    serves callers that know only (F, g); :func:`analyze` computes <D> from
+    the head positions for every n.
     """
     if n not in (3, 4):
         raise ValueError(
@@ -258,24 +258,23 @@ def quad_binomial_test(
 ) -> tuple[tuple[int, int, float], ...]:
     """Right-tail tests over the four floor/ceil integer transformations.
 
-    Returns (trials, successes, p) for (floor F, floor g), (ceil F, floor g),
-    (floor F, ceil g), (ceil F, ceil g), in that order. Integer inputs make
-    all four identical. When F and g fall in the same unit interval, ceil g
-    can exceed floor F; successes are clamped to trials in that degenerate
-    combination. Each distinct (trials, successes) pair is tested once.
+    Returns (trials, successes, p) for each distinct pair among
+    (floor F, floor g), (ceil F, floor g), (floor F, ceil g), (ceil F, ceil g),
+    in that order, leaving out pairs with no trial (floor F = 0 when F < 1).
+    Integer inputs give a single test. When F and g fall in the same unit
+    interval, ceil g can exceed floor F; successes are clamped to trials in
+    that degenerate combination.
     """
     if not 0 <= g <= F:
         raise ValueError(f"need 0 <= g <= F, got g={g}, F={F}")
     g_lo, g_hi = math.floor(g), math.ceil(g)
     F_lo, F_hi = math.floor(F), math.ceil(F)
     tails: dict[tuple[int, int], float] = {}
-    results = []
     for trials, successes in ((F_lo, g_lo), (F_hi, g_lo), (F_lo, g_hi), (F_hi, g_hi)):
         successes = min(successes, trials)
-        if (trials, successes) not in tails:
+        if trials and (trials, successes) not in tails:
             tails[trials, successes] = right_binomial_test(successes, trials, p0)
-        results.append((trials, successes, tails[trials, successes]))
-    return tuple(results)
+    return tuple((trials, successes, p) for (trials, successes), p in tails.items())
 
 
 def binomial_quantile(q: float, trials: int, p: Real) -> int:
@@ -350,9 +349,9 @@ def _round_half_away(x: Real) -> int:
 def sigma_separation_k(mean_D: float, F: Real, n: int) -> float:
     """Separation of <D> from its null mean, in units of sigma(<D>).
 
-    k = |<D> - (n^2-1)/3| / (sigma_star(n)/sqrt(F)), where sigma_star(n)^2 is
-    the shuffling variance of D for the n-word star (:func:`variance_D_star`),
-    e.g. 1 for n=4 and 2/9 for n=3.
+    k = |<D> - (n^2-1)/3| / sqrt(V_n / F), where V_n is the shuffling
+    variance of D for the n-word star (:func:`variance_D_star`), e.g. 1 for
+    n=4 and 2/9 for n=3.
     """
     if n < 3:
         raise ValueError(f"the sigma-separation statistic needs n >= 3, got {n}")
@@ -372,7 +371,12 @@ def three_sigma_verdict(k: float) -> bool:
 
 @dataclass(frozen=True)
 class HeadPlacementReport:
-    """Per-unit analysis bundle for one order-frequency table."""
+    """Per-unit analysis bundle for one order-frequency table.
+
+    `transforms` holds the (F, <D>, sigma(<D>), k) row of each integer
+    transformation in `p_values` of a fractional unit; it is empty for integer
+    units and from n = 5 on, where (F, g) no longer fix <D>.
+    """
 
     unit: str
     n: int
@@ -386,10 +390,20 @@ class HeadPlacementReport:
     three_sigma_significant: bool
     ci_ends: tuple[float, float]
     ci_mid: tuple[float, float]
+    transforms: tuple[tuple[Fraction, float, float, float], ...]
 
     @property
     def null_mean_D(self) -> Fraction:
         return expected_D(self.n)
+
+
+def _distance_row(
+    n: int, F: Fraction, total_D: Real
+) -> tuple[Fraction, float, float, float]:
+    """(F, <D>, sigma(<D>), k) of F star phrases whose D values sum to total_D."""
+    mean_D = float(total_D / F)
+    sigma = math.sqrt(float(variance_D_star(n)) / float(F))
+    return F, mean_D, sigma, sigma_separation_k(mean_D, F, n)
 
 
 def analyze(
@@ -400,10 +414,11 @@ def analyze(
     """Full head-placement analysis, one report per measurement unit.
 
     p0 defaults to 2/n, the null probability of a head-end placement. The
-    four-way integer-transformation test is always run; duplicate
-    (trials, successes) pairings collapse, so integer units carry a single
-    p-value and fractional units up to four. One pass over the rows gives
-    the frequency at each head position, and from it F, g and the exact <D>.
+    four-way integer-transformation test is always run, so integer units carry
+    a single p-value and fractional units up to four, each with its distance
+    row for n <= 4. One pass over the rows gives the frequency at each head
+    position, and from it F, g and the exact <D>. A unit whose F lies below
+    1/2 is refused: it rounds to 0 trials.
     """
     n = table.n
     if n < 3:
@@ -428,15 +443,26 @@ def analyze(
             )
         if float(F) == 0:  # also an F below the smallest float, 5e-324
             raise ValueError(f"zero total frequency for unit {unit!r}")
+        if F < Fraction(1, 2):
+            # a tiny decimal such as 1e-320 is exact only with hundreds of digits
+            shown = F if F.denominator <= 10**6 else f"{float(F):.3g}"
+            raise ValueError(
+                f"F = {shown} rounds to 0 trials for unit {unit!r}; "
+                "a total frequency must be at least 1/2"
+            )
         g = at[0] + at[-1]
-        seen: set[tuple[int, int]] = set()
-        p_values = []
-        for trials, successes, p in quad_binomial_test(g, F, null_p):
-            if (trials, successes) not in seen:
-                seen.add((trials, successes))
-                p_values.append((trials, successes, p))
-        mean_D = float(sum(f * single_head_D(n, i + 1) for i, f in enumerate(at)) / F)
-        k = sigma_separation_k(mean_D, F, n)
+        p_values = quad_binomial_test(g, F, null_p)
+        _, mean_D, sigma, k = _distance_row(
+            n, F, sum(f * single_head_D(n, i + 1) for i, f in enumerate(at))
+        )
+        transforms = ()
+        if n <= 4 and (F.denominator > 1 or g.denominator > 1):
+            # n <= 4: D takes one value at the ends, one in the middle
+            end_D, middle_D = single_head_D(n, 1), single_head_D(n, 2)
+            transforms = tuple(
+                _distance_row(n, Fraction(T), s * end_D + (T - s) * middle_D)
+                for T, s, _ in p_values
+            )
         proportion = float(g / F)
         reports.append(
             HeadPlacementReport(
@@ -445,13 +471,14 @@ def analyze(
                 F=F,
                 g=g,
                 proportion=proportion,
-                p_values=tuple(p_values),
+                p_values=p_values,
                 mean_D=mean_D,
-                sigma_mean_D=sigma_mean_D(star(n), F),
+                sigma_mean_D=sigma,
                 k=k,
                 three_sigma_significant=three_sigma_verdict(k),
                 ci_ends=binomial_proportion_ci(proportion, F, alpha),
                 ci_mid=binomial_proportion_ci(1 - proportion, F, alpha),
+                transforms=transforms,
             )
         )
     return reports

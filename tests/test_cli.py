@@ -219,6 +219,21 @@ class TestAnalyze:
         assert err.startswith("error: F = 2/5 rounds to 0 trials")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "row, shown",
+        [("nAD,1e-320", "1e-320"), ("nAD,0.3", "3/10"), ("AnD,0.3", "3/10")],
+    )
+    def test_frequency_below_half_refused_at_either_extreme(
+        self, capsys, tmp_path, row, shown
+    ):
+        # every order (or none) puts the head at an end, so g/F is 1 (or 0)
+        f = tmp_path / "tiny.csv"
+        f.write_text(f"order,u\n{row}\n")
+        code, out, err = run(capsys, "analyze", "--input", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: F = {shown} rounds to 0 trials for unit 'u'")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
     def test_p0_override(self, capsys, table_file):
         code_default, out_default, _ = run(capsys, "analyze", "--input", table_file)
         code_override, out_override, _ = run(

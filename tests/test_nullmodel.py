@@ -10,7 +10,6 @@ import pytest
 from headorder.nullmodel import (
     DP_CEILING,
     DiscreteDistribution,
-    EnumerationCapError,
     check_three_sigma_assumptions,
     enumerate_D_distribution,
     expected_D,
@@ -186,7 +185,7 @@ class TestEnumerationOracle:
         assert dist.mass == (Fraction(1),)
 
     def test_cap_refuses(self):
-        with pytest.raises(EnumerationCapError, match=rf"n <= {DP_CEILING}$"):
+        with pytest.raises(ValueError, match=rf"n <= {DP_CEILING}$"):
             enumerate_D_distribution(path(DP_CEILING + 1))
 
     def test_oracle_matches_formulas_on_all_shapes(self):
@@ -255,7 +254,7 @@ class TestCutDP:
     def test_ceiling_holds_whatever_the_cap(self):
         # refused before any DP work, so a huge n costs nothing
         for n in (DP_CEILING + 1, 40):
-            with pytest.raises(EnumerationCapError, match=rf"2\*\*{n} "):
+            with pytest.raises(ValueError, match=rf"2\*\*{n} "):
                 enumerate_D_distribution(path(n))
 
 

@@ -3,7 +3,7 @@
 import inspect
 
 import headorder
-from headorder import nullmodel, rings, stats, trees
+from headorder import dataio, nullmodel, rings, stats, trees
 
 # Names removed from the package because no production path called them.
 DELETED = {
@@ -13,7 +13,10 @@ DELETED = {
     ),
     stats: ("binomial_pmf", "p_head_at_ends", "order_distance_sum", "anti_locality_counts"),
     rings: ("adjacent",),
-    nullmodel: ("DEFAULT_ENUMERATION_CAP", "_mass_sequence"),
+    # EnumerationCapError: every resource refusal is a plain ValueError
+    nullmodel: (
+        "DEFAULT_ENUMERATION_CAP", "_mass_sequence", "EnumerationCapError",
+    ),
 }
 DELETED_MEMBERS = {
     trees.FreeTree: ("degree", "is_star"),
@@ -50,3 +53,14 @@ def test_deleted_names_are_gone():
 def test_one_limit_for_the_exact_distribution():
     parameters = inspect.signature(nullmodel.enumerate_D_distribution).parameters
     assert list(parameters) == ["tree"]
+
+
+def test_dataio_only_formats_reports():
+    # every statistic of a report row, the integer transforms' included, is
+    # computed by stats.analyze; dataio reads and formats it
+    statistics = {"sigma_mean_D", "mean_D_from_g", "sigma_separation_k", "star"}
+    bound = [
+        name for name in vars(dataio)
+        if name in statistics or name.startswith("variance_D")
+    ]
+    assert bound == []

@@ -17,7 +17,7 @@ from frequency_oracle import (
     order_distance_sum,
     total_frequency,
 )
-from headorder.dataio import builtin_dryer_table
+from headorder.dataio import builtin_dryer_table, distance_rows, head_end_test_rows
 from headorder.nullmodel import expected_D, sigma_mean_D, variance_D_star
 from headorder.stats import (
     OrderFrequencyTable,
@@ -536,6 +536,35 @@ class TestAnalyze:
         for table in tables:
             for report in analyze(table):
                 assert report.mean_D == mean_D_from_g(report.n, report.g, report.F)
+
+    @given(
+        st.sampled_from([3, 4])
+        .flatmap(
+            lambda n: st.lists(
+                st.fractions(min_value=0, max_value=40, max_denominator=12),
+                min_size=math.factorial(n),
+                max_size=math.factorial(n),
+            )
+        )
+        .filter(lambda cells: sum(cells) >= Fraction(1, 2))
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_transform_is_the_integer_table_row(self, cells):
+        # (T, s) of a fractional unit reports what a table with F = T, g = s does
+        alphabet, end, middle = ("ABn", "nAB", "AnB") if len(cells) == 6 else (
+            "DNAn", "nDNA", "DnNA"
+        )
+        report = analyze(make_table(cells, alphabet=alphabet))[0]
+        fractional = report.F.denominator > 1 or report.g.denominator > 1
+        tests, distances = head_end_test_rows([report]), distance_rows([report])
+        assert len(distances) == 1 + (len(tests) if fractional else 0)
+        for i, (T, s, _) in enumerate(report.p_values):
+            rows = {end: {"u": Fraction(s)}, middle: {"u": Fraction(T - s)}}
+            table = OrderFrequencyTable(tuple(alphabet), "n", ("u",), rows)
+            (integer,) = analyze(table)
+            assert head_end_test_rows([integer]) == [tests[i]]
+            if fractional:
+                assert distance_rows([integer]) == [distances[1 + i]]
 
 class TestOrderFrequencyTable:
     def test_rejects_non_permutation_row(self):
