@@ -39,7 +39,6 @@ from .stats import (
     analyze,
     binomial_proportion_ci,
     binomial_quantile,
-    mean_D_from_g,
     quad_binomial_test,
     right_binomial_test,
     sigma_separation_k,
@@ -83,7 +82,6 @@ __all__ = [
     "export_plot_data",
     "is_unimodal",
     "load_frequency_table",
-    "mean_D_from_g",
     "null_moments",
     "parse_tree",
     "path",

@@ -39,6 +39,9 @@ from .trees import parse_tree
 
 REPRODUCE_TARGETS = ("table2", "table3", "fig2", "fig3", "fig4", "sov-footnote", "all")
 DRYER_TARGETS = ("table2", "table3", "fig2", "fig3")
+# Options whose value is free text that may start with "-" (-1/2, -SOV=1);
+# argparse would take such a value for an option of its own.
+DASH_VALUE_OPTIONS = ("--p0", "--freq")
 
 
 @functools.cache
@@ -246,11 +249,24 @@ def _cmd_ring(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    tokens: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
+        # "--p0 -1/2" is passed on as "--p0=-1/2"; a following option of the
+        # subcommand ("-h", "--strict") keeps the usage error
+        if (
+            tokens
+            and tokens[-1] in DASH_VALUE_OPTIONS
+            and arg.startswith("-")
+            and not arg.startswith("--")
+            and arg != "-h"
+        ):
+            tokens[-1] += "=" + arg
+            continue
         option, sep, value = arg.partition("=")
         if sep and value == "--" and option.startswith("-"):  # argparse drops it
             parser.error(f"argument {option}: expected one argument")
-    args = parser.parse_args(argv)
+        tokens.append(arg)
+    args = parser.parse_args(tokens)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .rings import PermutationRing, ring_layout
 from .stats import HeadPlacementReport, OrderFrequencyTable
@@ -90,25 +90,12 @@ class TableParseError(ValueError):
 class TableSchema:
     """How to read a frequency-table CSV.
 
-    `alphabet` is inferred from the first data row when omitted. `strict`
-    requires every one of the n! orders to be present (by default, missing
-    orders count as zero).
+    The alphabet is that of the first data row. `strict` requires every one
+    of the n! orders to be present (by default, missing orders count as zero).
     """
 
     head: str
-    alphabet: tuple[str, ...] | None = None
     strict: bool = False
-
-
-def _read_text(source: Union[str, bytes, IO]) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
 
 
 # Fraction("1e3000000") builds 10**3000000 before anything can check it
@@ -143,7 +130,7 @@ def parse_exact(text: str, what: str) -> Fraction:
 
 
 def load_frequency_table(
-    source: Union[str, bytes, IO], schema: TableSchema
+    source: str | bytes, schema: TableSchema
 ) -> OrderFrequencyTable:
     """Parse and validate a frequency-table CSV.
 
@@ -153,7 +140,8 @@ def load_frequency_table(
     (as in Excel's "CSV UTF-8") is skipped. Raises :class:`TableParseError`
     with the offending line number on any malformed content.
     """
-    text = _read_text(source).removeprefix("\ufeff")
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
+    text = text.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -168,7 +156,7 @@ def load_frequency_table(
     if len(set(units)) != len(units) or any(not u for u in units):
         raise TableParseError(1, "unit columns must be non-empty and distinct")
 
-    alphabet = tuple(schema.alphabet) if schema.alphabet else None
+    alphabet = None
     rows: dict[str, dict[str, Fraction]] = {}
     for row in reader:
         line = reader.line_num
@@ -329,7 +317,8 @@ def _csv_block(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def _plain_csv_block(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """A CSV block of cells that are already strings."""
+    """A CSV block of cells that are already strings, such as ring edges
+    (`_fmt` on each of a 5-symbol ring's 480 cells would cost ~50% more)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)

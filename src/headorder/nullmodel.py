@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Union
 
 from .trees import FreeTree, degree_second_moment
 
@@ -26,59 +26,59 @@ DP_CEILING = 16
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Exact probability mass function over integer values of D."""
+    """Exact distribution over integer values of D, held as integer counts.
+
+    Value ``support[i]`` occurs in ``counts[i]`` of ``total`` equally likely
+    arrangements (n! of them for a tree on n vertices).
+    """
 
     support: tuple[int, ...]
-    mass: tuple[Fraction, ...]
+    counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        support = tuple(self.support)
         # Tuples are built from lists throughout this class: a tuple built from
         # a generator grows by resizing, which skips CPython's tuple free list
         # on the way in but refills it on release, so a long-lived process
         # would keep up to 2000 dead tuples of every size below 20 resident.
-        mass = tuple([Fraction(m) for m in self.mass])
+        support = tuple(self.support)
+        counts = tuple(self.counts)
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "mass", mass)
-        if not support or len(support) != len(mass):
-            raise ValueError("support and mass must be matched, non-empty sequences")
+        object.__setattr__(self, "counts", counts)
+        if not support or len(support) != len(counts):
+            raise ValueError("support and counts must be matched, non-empty sequences")
         if any(b <= a for a, b in zip(support, support[1:])):
             raise ValueError("support must be strictly increasing")
-        if any(m <= 0 for m in mass):
-            raise ValueError("all masses must be positive")
-        if sum(mass) != 1:
-            raise ValueError("masses must sum exactly to 1")
+        if any(type(c) is not int or c <= 0 for c in counts):
+            raise ValueError("all counts must be positive integers")
 
-    @classmethod
-    def from_counts(cls, counts: Mapping[int, int]) -> "DiscreteDistribution":
-        total = sum(counts.values())
-        support = tuple(sorted(v for v, c in counts.items() if c))
-        return cls(support, tuple([Fraction(counts[v], total) for v in support]))
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
 
-    def _power_sums(self) -> tuple[int, int, int]:
-        # (sum v*c, sum v^2*c, L), the masses written as c/L over one
-        # common denominator L, so the moments need integer sums only
-        scale = math.lcm(*[m.denominator for m in self.mass])
-        first = second = 0
-        for v, m in zip(self.support, self.mass):
-            weighted = v * m.numerator * (scale // m.denominator)
-            first += weighted
-            second += v * weighted
-        return first, second, scale
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        total = self.total
+        return tuple([Fraction(c, total) for c in self.counts])
 
     def mean(self) -> Fraction:
-        first, _, scale = self._power_sums()
-        return Fraction(first, scale)
+        first = sum([v * c for v, c in zip(self.support, self.counts)])
+        return Fraction(first, self.total)
 
     def variance(self) -> Fraction:
         """E[D^2] - E[D]^2, exact."""
-        first, second, scale = self._power_sums()
-        return Fraction(second * scale - first * first, scale * scale)
+        first = second = 0
+        for v, c in zip(self.support, self.counts):
+            first += v * c
+            second += v * v * c
+        total = self.total
+        return Fraction(second * total - first * first, total * total)
 
     def to_csv(self) -> str:
         """CSV rows of value, exact probability, decimal probability."""
         lines = ["value,probability,probability_decimal"]
-        for v, m in zip(self.support, self.mass):
+        total = self.total
+        for v, c in zip(self.support, self.counts):
+            m = Fraction(c, total)
             lines.append(f"{v},{m.numerator}/{m.denominator},{float(m):.12g}")
         return "\n".join(lines) + "\n"
 
@@ -176,28 +176,31 @@ def enumerate_D_distribution(tree: FreeTree) -> DiscreteDistribution:
         cuts = next_cuts
     (poly,) = layer.values()
     digit = (1 << width) - 1
-    counts: dict[int, int] = {}
+    support: list[int] = []
+    counts: list[int] = []
     d = 0
     while poly:
         if poly & digit:
-            counts[d] = poly & digit
+            support.append(d)
+            counts.append(poly & digit)
         poly >>= width
         d += 1
-    return DiscreteDistribution.from_counts(counts)
+    return DiscreteDistribution(support, counts)
 
 
 def is_unimodal(dist: DiscreteDistribution) -> bool:
     """True iff the masses rise (weakly) to a single peak, then fall (weakly).
 
-    Plateaus count as unimodal, so a two-point distribution qualifies.
+    Plateaus count as unimodal, so a two-point distribution qualifies. The
+    counts share one denominator, so comparing them compares the masses.
     """
-    masses = dist.mass
+    counts = dist.counts
     i = 0
-    while i + 1 < len(masses) and masses[i + 1] >= masses[i]:
+    while i + 1 < len(counts) and counts[i + 1] >= counts[i]:
         i += 1
-    while i + 1 < len(masses) and masses[i + 1] <= masses[i]:
+    while i + 1 < len(counts) and counts[i + 1] <= counts[i]:
         i += 1
-    return i == len(masses) - 1
+    return i == len(counts) - 1
 
 
 @dataclass(frozen=True)

@@ -89,32 +89,6 @@ class OrderFrequencyTable:
         return self.rows.get(order, {}).get(unit, Fraction(0))
 
 
-def mean_D_from_g(n: int, g: Real, F: Real) -> float:
-    """<D> from (F, g) alone, for 3- or 4-word star phrases.
-
-    With D two-valued ({2,3} resp. {4,6}), the frequency-weighted average is
-    [D_min (F - g) + D_max g] / F, i.e. 2 + g/F for n=3 and 4 + 2 g/F for n=4.
-    From n=5 on D takes more values and (F, g) no longer fix <D>. This bridge
-    serves callers that know only (F, g); :func:`analyze` computes <D> from
-    the head positions for every n.
-    """
-    if n not in (3, 4):
-        raise ValueError(
-            "the head-end bridge to <D> is only defined for 3- or 4-word phrases"
-        )
-    if F <= 0:
-        raise ValueError(f"total frequency F must be positive, got {F}")
-    if not 0 <= g <= F:
-        raise ValueError(f"head-end frequency g={g} outside 0..F={F}")
-    if isinstance(g, (int, Fraction)) and isinstance(F, (int, Fraction)):
-        ratio: Real = Fraction(g, 1) / Fraction(F, 1)
-    else:
-        ratio = float(g) / float(F)
-    if n == 3:
-        return float(2 + ratio)
-    return float(4 + 2 * ratio)
-
-
 _HALF_LOG_TWO_PI = 0.5 * math.log(2 * math.pi)
 
 

@@ -2,7 +2,7 @@
 
 `analyze` takes F, g and <D> from its one pass over the head positions, and
 <D> through the closed form `single_head_D`; these recompute them
-independently, one order at a time.
+independently, one order at a time, or <D> from (F, g) for n = 3 and 4.
 """
 
 from fractions import Fraction
@@ -48,3 +48,28 @@ def anti_locality_counts(table: OrderFrequencyTable, unit: str) -> tuple[Fractio
         elif d < null_mean:
             f_minus += freqs.get(unit, Fraction(0))
     return f_plus, f_minus
+
+
+def mean_D_from_g(n: int, g, F) -> float:
+    """<D> from (F, g) alone, for 3- or 4-word star phrases.
+
+    With D two-valued ({2,3} resp. {4,6}), the frequency-weighted average is
+    [D_min (F - g) + D_max g] / F, i.e. 2 + g/F for n=3 and 4 + 2 g/F for n=4.
+    From n=5 on D takes more values and (F, g) no longer fix <D>; `analyze`
+    computes <D> from the head positions for every n.
+    """
+    if n not in (3, 4):
+        raise ValueError(
+            "the head-end bridge to <D> is only defined for 3- or 4-word phrases"
+        )
+    if F <= 0:
+        raise ValueError(f"total frequency F must be positive, got {F}")
+    if not 0 <= g <= F:
+        raise ValueError(f"head-end frequency g={g} outside 0..F={F}")
+    if isinstance(g, (int, Fraction)) and isinstance(F, (int, Fraction)):
+        ratio = Fraction(g, 1) / Fraction(F, 1)
+    else:
+        ratio = float(g) / float(F)
+    if n == 3:
+        return float(2 + ratio)
+    return float(4 + 2 * ratio)

@@ -15,6 +15,7 @@ import networkx as nx
 from frequency_oracle import (
     anti_locality_counts,
     head_end_frequency,
+    mean_D_from_g,
     order_distance_sum,
     total_frequency,
 )
@@ -49,7 +50,6 @@ from headorder.stats import (
     OrderFrequencyTable,
     binomial_log_pmf,
     binomial_proportion_ci,
-    mean_D_from_g,
     right_binomial_test,
 )
 from headorder.trees import FreeTree, path, star

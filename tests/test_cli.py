@@ -190,6 +190,15 @@ class TestAnalyze:
         assert err == f"error: --p0 must lie in (0, 1) as a float, got {p0!r}\n"
         assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize("p0", ["-1/2", "-1e400", "-0.5"])
+    def test_p0_with_a_leading_dash_reaches_the_range_check(
+        self, capsys, table_file, p0
+    ):
+        # a separate value that argparse alone would take for an option
+        code, out, err = run(capsys, "analyze", "--input", table_file, "--p0", p0)
+        assert (code, out) == (2, "")
+        assert err == f"error: --p0 must lie in (0, 1) as a float, got {p0!r}\n"
+
     def test_count_beyond_float_exactness(self, capsys, tmp_path):
         f = tmp_path / "huge.csv"
         f.write_text("order,u\nnAND,1e400\nDNAn,1\n")
@@ -343,6 +352,12 @@ class TestRingCommand:
         code, _, err = run(capsys, "ring", "--freq", "XYZ=5")
         assert code == 2
 
+    def test_freq_with_a_leading_dash_reaches_the_key_check(self, capsys):
+        for argv in (["--freq", "-SOV=1"], ["--freq=-SOV=1"]):
+            code, out, err = run(capsys, "ring", *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: frequency keys not in node set: -SOV\n"
+
     def test_zero_denominator_count(self, capsys):
         code, out, err = run(capsys, "ring", "--freq", "SOV=1/0")
         assert code == 2
@@ -428,6 +443,24 @@ class TestParserReuse:
 )
 def test_double_dash_value_refused(capsys, argv):
     # argparse would drop a "--" value and hand the command an empty list
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith("expected one argument")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input=-", "--p0", "--strict"],
+        ["analyze", "--input=-", "--p0", "-h"],
+        ["ring", "--freq", "--symbols=SOV"],
+        ["ring", "--freq", "-h"],
+    ],
+)
+def test_option_after_a_dash_value_option_is_no_value(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -120,6 +120,7 @@ def frequency_tables(draw):
     ),
 )
 @example(table="order,u\nnAD,3\nAnD,4\nADn,5\n", options=["--p0=1e400"])
+@example(table="order,u\nnAD,3\nAnD,4\nADn,5\n", options=["--p0", "-1/2"])
 @SETTINGS
 def test_analyze(table, options):
     check_contract(["analyze", "--input", "-", *options], table)
@@ -167,6 +168,7 @@ def ring_requests(draw):
 
 @given(argv=ring_requests())
 @example(argv=["ring", "--symbols=ABCD"])
+@example(argv=["ring", "--freq", "-SOV=1"])
 @SETTINGS
 def test_ring(argv):
     check_contract(argv)

@@ -100,6 +100,7 @@ class TestLoader:
         from_bytes = load_frequency_table(self.GOOD.encode(), schema)
         assert from_str == from_bytes
         assert from_str.frequency("DNAn", "u") == Fraction(5, 2)
+        assert from_str.alphabet == ("A", "D", "N", "n")  # first row's, sorted
 
     def test_missing_orders_default_to_zero(self):
         table = load_frequency_table(self.GOOD, TableSchema(head="n"))
@@ -156,12 +157,6 @@ class TestLoader:
             load_frequency_table(self.GOOD, TableSchema(head="n", strict=True))
         full = serialize_frequency_table(builtin_dryer_table())
         load_frequency_table(full, TableSchema(head="n", strict=True))
-
-    def test_explicit_alphabet(self):
-        table = load_frequency_table(
-            self.GOOD, TableSchema(head="n", alphabet=("D", "N", "A", "n"))
-        )
-        assert table.alphabet == ("A", "D", "N", "n")  # stored sorted
 
     def test_fuzzed_mutations_are_rejected(self):
         # flipping any one field of a valid file to a broken variant must fail

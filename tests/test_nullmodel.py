@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, factorial, lcm
 
 import networkx as nx
 import pytest
@@ -22,11 +22,9 @@ from headorder.nullmodel import (
 from headorder.trees import FreeTree, path, single_head_D, star
 
 
-def masses(*decimals: float) -> DiscreteDistribution:
-    """Masses on 0, 1, 2, ... written as exact decimals."""
-    return DiscreteDistribution(
-        range(len(decimals)), [Fraction(str(m)) for m in decimals]
-    )
+def counts(*values: int) -> DiscreteDistribution:
+    """Counts on 0, 1, 2, ..."""
+    return DiscreteDistribution(range(len(values)), values)
 
 
 def tree_from_networkx(graph) -> FreeTree:
@@ -54,11 +52,12 @@ def prufer_tree(n, seed):
 def enumerated_D_distribution(tree) -> DiscreteDistribution:
     """Brute-force oracle: D summed over the edges of each of the n! arrangements."""
     edges = [(u - 1, v - 1) for u, v in tree.edges]
-    counts = Counter(
+    tally = Counter(
         sum(abs(positions[u] - positions[v]) for u, v in edges)
         for positions in permutations(range(1, tree.n + 1))
     )
-    return DiscreteDistribution.from_counts(counts)
+    support = sorted(tally)
+    return DiscreteDistribution(support, [tally[d] for d in support])
 
 
 def fraction_moments(dist) -> tuple[Fraction, Fraction]:
@@ -72,20 +71,25 @@ def fraction_moments(dist) -> tuple[Fraction, Fraction]:
 
 class TestDiscreteDistribution:
     def test_validation(self):
-        with pytest.raises(ValueError, match="sum"):
-            DiscreteDistribution((1, 2), (Fraction(1, 2), Fraction(1, 3)))
+        with pytest.raises(ValueError, match="matched"):
+            DiscreteDistribution((1, 2), (1,))
+        with pytest.raises(ValueError, match="matched"):
+            DiscreteDistribution((), ())
         with pytest.raises(ValueError, match="increasing"):
-            DiscreteDistribution((2, 1), (Fraction(1, 2), Fraction(1, 2)))
-        with pytest.raises(ValueError, match="positive"):
-            DiscreteDistribution((1, 2), (Fraction(0), Fraction(1)))
+            DiscreteDistribution((2, 1), (1, 1))
 
-    def test_from_counts_drops_zero_counts(self):
-        dist = DiscreteDistribution.from_counts({3: 2, 5: 0, 7: 2})
-        assert dist.support == (3, 7)
+    @pytest.mark.parametrize("bad", [0, -1, Fraction(1), 1.0, True, "1"])
+    def test_count_must_be_a_positive_int(self, bad):
+        with pytest.raises(ValueError, match="positive integers"):
+            DiscreteDistribution((1, 2), (bad, 1))
+
+    def test_mass_is_each_count_over_the_total(self):
+        dist = DiscreteDistribution((3, 7), (2, 2))
+        assert dist.total == 4
         assert dist.mass == (Fraction(1, 2), Fraction(1, 2))
 
     def test_moments(self):
-        dist = DiscreteDistribution((4, 6), (Fraction(1, 2), Fraction(1, 2)))
+        dist = DiscreteDistribution((4, 6), (1, 1))
         assert dist.mean() == 5
         assert dist.variance() == 1
 
@@ -105,7 +109,9 @@ class TestDiscreteDistribution:
         ],
     )
     def test_integer_moments_equal_fraction_sums(self, support, mass):
-        dist = DiscreteDistribution(support, mass)
+        total = lcm(*[m.denominator for m in mass])
+        dist = DiscreteDistribution(support, [int(m * total) for m in mass])
+        assert dist.mass == mass
         assert (dist.mean(), dist.variance()) == fraction_moments(dist)
 
     def test_integer_moments_on_dp_distributions(self):
@@ -116,7 +122,7 @@ class TestDiscreteDistribution:
             assert (dist.mean(), dist.variance()) == fraction_moments(dist)
 
     def test_csv(self):
-        dist = DiscreteDistribution((2, 3), (Fraction(1, 3), Fraction(2, 3)))
+        dist = DiscreteDistribution((2, 3), (1, 2))
         text = dist.to_csv()
         assert text.splitlines()[0] == "value,probability,probability_decimal"
         assert "2,1/3," in text
@@ -178,6 +184,13 @@ class TestEnumerationOracle:
         dist = enumerate_D_distribution(star(3))
         assert dist.support == (2, 3)
         assert dist.mass == (Fraction(1, 3), Fraction(2, 3))
+
+    def test_counts_cover_all_n_factorial_arrangements(self):
+        for n in range(1, 9):
+            for tree in all_tree_shapes(n):
+                dist = enumerate_D_distribution(tree)
+                assert dist.total == factorial(n), tree
+                assert sum(dist.mass) == 1, tree
 
     def test_single_edge(self):
         dist = enumerate_D_distribution(path(2))
@@ -241,8 +254,12 @@ class TestCutDP:
     def test_star_is_the_uniform_hub_position(self):
         for n in range(1, 15):
             hub_D = Counter(single_head_D(n, position) for position in range(1, n + 1))
-            expected = DiscreteDistribution.from_counts(hub_D)
-            assert enumerate_D_distribution(star(n)) == expected
+            support = sorted(hub_D)
+            # each hub position leaves (n-1)! orders of the leaves
+            expected = [hub_D[d] * factorial(n - 1) for d in support]
+            assert enumerate_D_distribution(star(n)) == DiscreteDistribution(
+                support, expected
+            )
 
     def test_moments_beyond_the_default_cap(self):
         for n in (12, 14):
@@ -260,24 +277,23 @@ class TestCutDP:
 
 class TestUnimodality:
     def test_binomial_pmf_is_unimodal(self):
-        pmf = DiscreteDistribution.from_counts({k: comb(10, k) for k in range(11)})
-        assert is_unimodal(pmf)
+        assert is_unimodal(counts(*[comb(10, k) for k in range(11)]))
 
     def test_two_local_maxima(self):
-        assert not is_unimodal(masses(0.4, 0.1, 0.5))
+        assert not is_unimodal(counts(4, 1, 5))
 
     def test_two_point_distribution_counts_as_unimodal(self):
         assert is_unimodal(enumerate_D_distribution(star(4)))
 
     def test_plateau_is_unimodal(self):
-        assert is_unimodal(masses(0.25, 0.25, 0.25, 0.25))
+        assert is_unimodal(counts(1, 1, 1, 1))
 
     def test_monotone_sequences_are_unimodal(self):
-        assert is_unimodal(masses(0.1, 0.2, 0.7))
-        assert is_unimodal(masses(0.7, 0.2, 0.1))
+        assert is_unimodal(counts(1, 2, 7))
+        assert is_unimodal(counts(7, 2, 1))
 
     def test_three_sigma_assumptions(self):
         report = check_three_sigma_assumptions(enumerate_D_distribution(star(4)))
         assert report.unimodal
-        report = check_three_sigma_assumptions(masses(0.4, 0.1, 0.5))
+        report = check_three_sigma_assumptions(counts(4, 1, 5))
         assert not report.unimodal

@@ -11,7 +11,10 @@ DELETED = {
         "LinearArrangement", "sum_dependency_distances", "DependencyDistanceSummary",
         "single_head_summary", "tree_to_text",
     ),
-    stats: ("binomial_pmf", "p_head_at_ends", "order_distance_sum", "anti_locality_counts"),
+    stats: (
+        "binomial_pmf", "p_head_at_ends", "order_distance_sum", "anti_locality_counts",
+        "mean_D_from_g",
+    ),
     rings: ("adjacent",),
     # EnumerationCapError: every resource refusal is a plain ValueError
     nullmodel: (
@@ -21,7 +24,7 @@ DELETED = {
 DELETED_MEMBERS = {
     trees.FreeTree: ("degree", "is_star"),
     stats.HeadPlacementReport: ("d_min", "d_max"),
-    nullmodel.DiscreteDistribution: ("probability",),
+    nullmodel.DiscreteDistribution: ("probability", "from_counts", "_power_sums"),
     nullmodel.ThreeSigmaAssumptions: ("satisfied",),
 }
 

@@ -14,6 +14,7 @@ from scipy.stats import binom
 from frequency_oracle import (
     anti_locality_counts,
     head_end_frequency,
+    mean_D_from_g,
     order_distance_sum,
     total_frequency,
 )
@@ -25,7 +26,6 @@ from headorder.stats import (
     binomial_log_pmf,
     binomial_proportion_ci,
     binomial_quantile,
-    mean_D_from_g,
     quad_binomial_test,
     right_binomial_test,
     sigma_separation_k,
