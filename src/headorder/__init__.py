@@ -9,7 +9,6 @@ permutation ring of constituent orders.
 """
 
 from .dataio import (
-    TableParseError,
     TableSchema,
     builtin_dryer_table,
     builtin_sov_aggregates,
@@ -36,6 +35,7 @@ from .rings import PermutationRing, build_ring, ring_layout, swap_distance
 from .stats import (
     HeadPlacementReport,
     OrderFrequencyTable,
+    TableParseError,
     analyze,
     binomial_proportion_ci,
     binomial_quantile,

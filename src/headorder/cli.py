@@ -54,10 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="headorder",
         description="Head-placement statistics for linearized single-head phrases.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options are spelled in full, as the DASH_VALUE_OPTIONS pre-scan in main expects
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_repro = sub.add_parser(
+    p_repro = add_parser(
         "reproduce", help="recompute a published table or figure from embedded data"
     )
     p_repro.add_argument("target", choices=REPRODUCE_TARGETS)
@@ -65,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--out", help="write output here instead of stdout")
     p_repro.set_defaults(func=_cmd_reproduce)
 
-    p_analyze = sub.add_parser(
+    p_analyze = add_parser(
         "analyze", help="analyze a frequency-table CSV of phrase orders"
     )
     p_analyze.add_argument("--input", required=True, help="CSV path, '-' for stdin")
@@ -79,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out")
     p_analyze.set_defaults(func=_cmd_analyze)
 
-    p_null = sub.add_parser(
+    p_null = add_parser(
         "null-model", help="moments and exact distribution of D under shuffling"
     )
     p_null.add_argument(
@@ -101,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_null.add_argument("--out")
     p_null.set_defaults(func=_cmd_null_model)
 
-    p_ring = sub.add_parser("ring", help="permutation ring of constituent orders")
+    p_ring = add_parser("ring", help="permutation ring of constituent orders")
     p_ring.add_argument("--symbols", default="SOV", help="e.g. SOV")
     p_ring.add_argument(
         "--freq",

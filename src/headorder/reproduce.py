@@ -22,8 +22,8 @@ from .stats import HeadPlacementReport, analyze, right_binomial_test
 SOV_NULL_PROBABILITIES = (Fraction(1, 2), Fraction(2, 3))
 
 
-def dryer_reports(alpha: float = 0.05) -> list[HeadPlacementReport]:
-    return analyze(builtin_dryer_table(), alpha=alpha)
+def dryer_reports() -> list[HeadPlacementReport]:
+    return analyze(builtin_dryer_table())
 
 
 def table2_rows(
@@ -111,8 +111,8 @@ def check_fig3(reports: list[HeadPlacementReport]) -> list[str]:
     )
 
 
-def sov_ring(frequencies=None):
-    return build_ring("SOV", frequencies)
+def sov_ring():
+    return build_ring("SOV")
 
 
 def fig4_csv() -> str:

@@ -9,31 +9,8 @@ orders joined at swap distance one form a 6-cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Mapping, Sequence
-
-
-def _sorted_inversions(values: list[int]) -> tuple[list[int], int]:
-    # merge sort with inversion counting, O(m log m)
-    if len(values) <= 1:
-        return values, 0
-    mid = len(values) // 2
-    left, inv_left = _sorted_inversions(values[:mid])
-    right, inv_right = _sorted_inversions(values[mid:])
-    merged: list[int] = []
-    count = inv_left + inv_right
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-            count += len(left) - i
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, count
 
 
 def _as_order(order: Sequence[str]) -> tuple[str, ...]:
@@ -49,8 +26,7 @@ def swap_distance(a: Sequence[str], b: Sequence[str]) -> int:
     if set(a) != set(b) or len(a) != len(b):
         raise ValueError(f"orders {a!r} and {b!r} are over different symbol sets")
     rank = {symbol: i for i, symbol in enumerate(a)}
-    _, inversions = _sorted_inversions([rank[symbol] for symbol in b])
-    return inversions
+    return sum(x > y for x, y in combinations([rank[symbol] for symbol in b], 2))
 
 
 @dataclass(frozen=True)

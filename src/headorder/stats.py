@@ -35,6 +35,20 @@ Real = Union[int, float, Fraction]
 _MAX_TOTAL_FREQUENCY = 2**53
 
 
+class TableParseError(ValueError):
+    """An order-frequency table broke one of its rules.
+
+    `line` is the 1-based line of the CSV text at fault (None for a table
+    built directly); `order` names the row at fault, if a row is.
+    """
+
+    def __init__(self, line: int | None, message: str, order: str | None = None):
+        self.line = line
+        self.order = order
+        prefix = f"line {line}: " if line is not None else ""
+        super().__init__(prefix + message)
+
+
 @dataclass(frozen=True)
 class OrderFrequencyTable:
     """Frequencies of the n! orders of an n-symbol phrase, per measurement unit.
@@ -43,6 +57,8 @@ class OrderFrequencyTable:
     ``"nAND"``); order strings are case-sensitive. Orders absent from `rows`
     count as frequency zero. The alphabet is a set; it is stored sorted so
     that tables built from differently-ordered alphabets compare equal.
+    Construction checks every rule of a table and raises
+    :class:`TableParseError` for the first one broken.
     """
 
     alphabet: tuple[str, ...]
@@ -55,26 +71,30 @@ class OrderFrequencyTable:
         units = tuple(self.units)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "units", units)
-        if len(set(alphabet)) != len(alphabet) or not alphabet:
-            raise ValueError("alphabet must be a non-empty set of distinct symbols")
-        if any(len(s) != 1 for s in alphabet):
-            raise ValueError("category symbols must be single characters")
+        symbols, canon = "".join(alphabet), list(alphabet)
+        # distinct single characters: their characters, sorted, are the alphabet
+        if not canon or sorted(set(symbols)) != canon:
+            message = f"alphabet {alphabet!r} must be a non-empty set of single characters"
+            raise TableParseError(None, message)
         if self.head not in alphabet:
-            raise ValueError(f"head symbol {self.head!r} not in alphabet")
-        if not units or len(set(units)) != len(units):
-            raise ValueError("units must be non-empty and distinct")
-        canon = sorted(alphabet)
+            message = f"head symbol {self.head!r} not in alphabet {symbols!r}"
+            raise TableParseError(None, message)
+        if not units or not all(units) or len(set(units)) != len(units):
+            raise TableParseError(None, f"units must be non-empty and distinct, got {units!r}")
         rows: dict[str, dict[str, Fraction]] = {}
         for order, freqs in self.rows.items():
             if sorted(order) != canon:
-                raise ValueError(f"order {order!r} is not a permutation of the alphabet")
+                message = f"order {order!r} is not a permutation of {symbols!r}"
+                raise TableParseError(None, message, order)
             clean: dict[str, Fraction] = {}
             for unit, value in freqs.items():
                 if unit not in units:
-                    raise ValueError(f"unknown unit {unit!r} in row {order!r}")
-                value = Fraction(value)
+                    raise TableParseError(None, f"unknown unit {unit!r} in row {order!r}", order)
+                if type(value) is not Fraction:
+                    value = Fraction(value)
                 if value < 0:
-                    raise ValueError(f"negative frequency for {order!r} / {unit!r}")
+                    message = f"negative frequency {value} for {order!r} / {unit!r}"
+                    raise TableParseError(None, message, order)
                 clean[unit] = value
             rows[order] = clean
         object.__setattr__(self, "rows", rows)

@@ -68,13 +68,11 @@ class FreeTree:
         return tuple(deg)
 
 
-def star(n: int, hub: int = 1) -> FreeTree:
-    """Star tree on n vertices: `hub` adjacent to every other vertex."""
+def star(n: int) -> FreeTree:
+    """Star tree on n vertices: vertex 1, the head, adjacent to every other vertex."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    if not 1 <= hub <= n:
-        raise ValueError(f"hub {hub} outside vertex range 1..{n}")
-    return FreeTree(n, frozenset((hub, v) for v in range(1, n + 1) if v != hub), head=hub)
+    return FreeTree(n, frozenset((1, v) for v in range(2, n + 1)), head=1)
 
 
 def path(n: int) -> FreeTree:

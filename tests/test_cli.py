@@ -467,3 +467,24 @@ def test_option_after_a_dash_value_option_is_no_value(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1].endswith("expected one argument")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--input", "t.csv", "--p", "-1/2"], "unrecognized arguments: --p -1/2"),
+        (["ring", "--fr", "-SOV=1"], "unrecognized arguments: --fr -SOV=1"),
+        (["ring", "--fr", "SOV=1"], "unrecognized arguments: --fr SOV=1"),
+        (["analyze", "--inp", "t.csv"], "required: --input"),
+        (["reproduce", "table2", "--form", "csv"], "unrecognized arguments: --form csv"),
+    ],
+)
+def test_options_are_spelled_in_full(capsys, argv, message):
+    # a prefix of --p0 or --freq would slip past the pre-scan of dash values
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(message)
+    assert "Traceback" not in err

@@ -5,6 +5,8 @@ from itertools import permutations
 import pytest
 
 from frequency_oracle import head_end_frequency, total_frequency
+import headorder
+from headorder import stats
 from headorder.dataio import (
     MAX_DECIMAL_EXPONENT,
     TableParseError,
@@ -157,6 +159,37 @@ class TestLoader:
             load_frequency_table(self.GOOD, TableSchema(head="n", strict=True))
         full = serialize_frequency_table(builtin_dryer_table())
         load_frequency_table(full, TableSchema(head="n", strict=True))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("order,u\nnAND,3\nDDAN,4\n", 3),  # not a permutation
+            ("order,u\nnAND,3\nDNAn,1\nDnAN,-1\n", 4),  # negative
+            ("order,u\nnnAD,3\nnAND,4\n", 2),  # the first row repeats a symbol
+            ("order,u\nnAND,3\n\nDNAn,1\nDnAN,-1\n", 5),  # after a blank line
+        ],
+    )
+    def test_row_refused_by_the_table_keeps_its_line(self, text, line):
+        with pytest.raises(TableParseError) as info:
+            load_frequency_table(text, TableSchema(head="n"))
+        assert info.value.line == line
+        assert str(info.value).startswith(f"line {line}: ")
+        assert info.value.order == text.splitlines()[line - 1].split(",")[0]
+
+    def test_text_errors_come_before_row_rules(self):
+        # the whole text is read before the table checks its rows
+        text = "order,u\nnAND,3\nDDAN,4\nDNAn,many\n"
+        with pytest.raises(TableParseError, match="invalid frequency") as info:
+            load_frequency_table(text, TableSchema(head="n"))
+        assert info.value.line == 4
+
+    def test_repeated_unit_column(self):
+        with pytest.raises(TableParseError, match="distinct") as info:
+            load_frequency_table("order,u,u\nnAND,3,4\n", TableSchema(head="n"))
+        assert info.value.line is None and info.value.order is None
+
+    def test_one_exception_class(self):
+        assert TableParseError is stats.TableParseError is headorder.TableParseError
 
     def test_fuzzed_mutations_are_rejected(self):
         # flipping any one field of a valid file to a broken variant must fail

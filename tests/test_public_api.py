@@ -3,7 +3,7 @@
 import inspect
 
 import headorder
-from headorder import dataio, nullmodel, rings, stats, trees
+from headorder import dataio, nullmodel, reproduce, rings, stats, trees
 
 # Names removed from the package because no production path called them.
 DELETED = {
@@ -67,3 +67,9 @@ def test_dataio_only_formats_reports():
         if name in statistics or name.startswith("variance_D")
     ]
     assert bound == []
+
+
+def test_no_parameter_that_no_caller_sets():
+    assert list(inspect.signature(trees.star).parameters) == ["n"]
+    assert list(inspect.signature(reproduce.dryer_reports).parameters) == []
+    assert list(inspect.signature(reproduce.sov_ring).parameters) == []

@@ -22,6 +22,7 @@ from headorder.dataio import builtin_dryer_table, distance_rows, head_end_test_r
 from headorder.nullmodel import expected_D, sigma_mean_D, variance_D_star
 from headorder.stats import (
     OrderFrequencyTable,
+    TableParseError,
     analyze,
     binomial_log_pmf,
     binomial_proportion_ci,
@@ -567,27 +568,36 @@ class TestAnalyze:
                 assert distance_rows([integer]) == [distances[1 + i]]
 
 class TestOrderFrequencyTable:
+    # each refusal is a TableParseError, still a ValueError, with no line
+    # and with the row at fault, if any, as `order`
+    def refusal(self, match, alphabet, head, units, rows):
+        with pytest.raises(TableParseError, match=match) as info:
+            OrderFrequencyTable(tuple(alphabet), head, units, rows)
+        assert isinstance(info.value, ValueError) and info.value.line is None
+        return info.value.order
+
     def test_rejects_non_permutation_row(self):
-        with pytest.raises(ValueError, match="permutation"):
-            OrderFrequencyTable(
-                ("D", "N", "A", "n"), "n", ("u",), {"DDAN": {"u": Fraction(1)}}
-            )
+        rows = {"DDAN": {"u": Fraction(1)}}
+        assert self.refusal("permutation", "DNAn", "n", ("u",), rows) == "DDAN"
 
     def test_rejects_negative_frequency(self):
-        with pytest.raises(ValueError, match="negative"):
-            OrderFrequencyTable(
-                ("D", "N", "A", "n"), "n", ("u",), {"nAND": {"u": Fraction(-1)}}
-            )
+        rows = {"nAND": {"u": Fraction(-1)}}
+        assert self.refusal("negative", "DNAn", "n", ("u",), rows) == "nAND"
 
     def test_rejects_unknown_head(self):
-        with pytest.raises(ValueError, match="head"):
-            OrderFrequencyTable(("D", "N", "A", "n"), "x", ("u",), {})
+        assert self.refusal("head", "DNAn", "x", ("u",), {}) is None
 
     def test_rejects_unknown_unit_in_row(self):
-        with pytest.raises(ValueError, match="unknown unit"):
-            OrderFrequencyTable(
-                ("D", "N", "A", "n"), "n", ("u",), {"nAND": {"v": Fraction(1)}}
-            )
+        rows = {"nAND": {"v": Fraction(1)}}
+        assert self.refusal("unknown unit", "DNAn", "n", ("u",), rows) == "nAND"
+
+    @pytest.mark.parametrize("alphabet", ["DDAn", ("D", "NA", "n"), ("D", "", "n"), ()])
+    def test_rejects_an_alphabet_of_no_distinct_characters(self, alphabet):
+        assert self.refusal("alphabet", alphabet, "n", ("u",), {}) is None
+
+    @pytest.mark.parametrize("units", [("u", "u"), ("",), ()])
+    def test_rejects_units_that_are_empty_or_repeated(self, units):
+        assert self.refusal("units", "DNAn", "n", units, {}) is None
 
     def test_missing_orders_count_as_zero(self):
         table = OrderFrequencyTable(
