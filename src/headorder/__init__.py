@@ -21,8 +21,6 @@ from .dataio import (
 from .nullmodel import (
     DiscreteDistribution,
     NullMoments,
-    ThreeSigmaAssumptions,
-    check_three_sigma_assumptions,
     enumerate_D_distribution,
     expected_D,
     is_unimodal,
@@ -41,8 +39,6 @@ from .stats import (
     binomial_quantile,
     quad_binomial_test,
     right_binomial_test,
-    sigma_separation_k,
-    three_sigma_verdict,
 )
 from .trees import (
     FreeTree,
@@ -66,14 +62,12 @@ __all__ = [
     "PermutationRing",
     "TableParseError",
     "TableSchema",
-    "ThreeSigmaAssumptions",
     "analyze",
     "binomial_proportion_ci",
     "binomial_quantile",
     "build_ring",
     "builtin_dryer_table",
     "builtin_sov_aggregates",
-    "check_three_sigma_assumptions",
     "d_max_single_head",
     "d_min_single_head",
     "degree_second_moment",
@@ -92,11 +86,9 @@ __all__ = [
     "ring_layout",
     "serialize_frequency_table",
     "sigma_mean_D",
-    "sigma_separation_k",
     "single_head_D",
     "star",
     "swap_distance",
-    "three_sigma_verdict",
     "variance_D",
     "variance_D_star",
 ]

@@ -29,8 +29,8 @@ from .dataio import (
 )
 from .nullmodel import (
     DP_CEILING,
-    check_three_sigma_assumptions,
     enumerate_D_distribution,
+    is_unimodal,
     null_moments,
 )
 from .rings import build_ring
@@ -188,8 +188,10 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if not 0 < args.alpha < 1:
-        raise ValueError(f"--alpha must be in (0, 1), got {args.alpha}")
+    if not (0 < args.alpha < 1 and 1 - args.alpha / 2 < 1.0):
+        raise ValueError(
+            f"--alpha must lie in (0, 1) with 1 - alpha/2 < 1 as a float, got {args.alpha}"
+        )
     if args.input == "-":
         source = sys.stdin.read()
     else:
@@ -226,12 +228,11 @@ def _cmd_null_model(args) -> int:
     output = "\n".join(lines) + "\n"
     if args.distribution:
         dist = enumerate_D_distribution(tree)
-        assumptions = check_three_sigma_assumptions(dist)
         agrees = dist.mean() == moments.mean and dist.variance() == moments.variance
         output += (
             "\n"
             + dist.to_csv()
-            + f"unimodal: {'yes' if assumptions.unimodal else 'no'}\n"
+            + f"unimodal: {'yes' if is_unimodal(dist) else 'no'}\n"
             + f"oracle agrees with closed forms: {'yes' if agrees else 'NO'}\n"
         )
     _write(args, output)

@@ -193,6 +193,8 @@ def is_unimodal(dist: DiscreteDistribution) -> bool:
 
     Plateaus count as unimodal, so a two-point distribution qualifies. The
     counts share one denominator, so comparing them compares the masses.
+    A finite support has a finite variance, so unimodality is the one
+    precondition of the 3-sigma rule (Vysochanskij-Petunin) left to check.
     """
     counts = dist.counts
     i = 0
@@ -203,17 +205,5 @@ def is_unimodal(dist: DiscreteDistribution) -> bool:
     return i == len(counts) - 1
 
 
-@dataclass(frozen=True)
-class ThreeSigmaAssumptions:
-    """Preconditions of the Vysochanskij-Petunin inequality for a distribution.
-
-    A finite support always has a finite variance, so unimodality is the one
-    precondition left to check.
-    """
-
-    unimodal: bool
-
-
-def check_three_sigma_assumptions(dist: DiscreteDistribution) -> ThreeSigmaAssumptions:
-    """Diagnostic for applying the 3-sigma rule to the supplied distribution."""
-    return ThreeSigmaAssumptions(unimodal=is_unimodal(dist))
+# perfbench/tracing.py resolves this name; it goes when the tracer drops it
+check_three_sigma_assumptions = is_unimodal

@@ -31,8 +31,9 @@ from .trees import single_head_D
 
 Real = Union[int, float, Fraction]
 
-# The binomial kernel works in float, where counts above 2**53 stop being exact.
-_MAX_TOTAL_FREQUENCY = 2**53
+# analyze refuses a larger unit F before any pmf walk. Its intervals walk O(sqrt F)
+# terms: one balanced unit takes ~0.5 s at 10**9, ~2 s at 10**10, ~35 min at 2**53.
+MAX_TOTAL_FREQUENCY = 10**9
 
 
 class TableParseError(ValueError):
@@ -91,7 +92,11 @@ class OrderFrequencyTable:
                 if unit not in units:
                     raise TableParseError(None, f"unknown unit {unit!r} in row {order!r}", order)
                 if type(value) is not Fraction:
-                    value = Fraction(value)
+                    try:
+                        value = Fraction(value)
+                    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                        message = f"frequency {value!r} of {order!r} is not a finite number"
+                        raise TableParseError(None, message, order) from None
                 if value < 0:
                     message = f"negative frequency {value} for {order!r} / {unit!r}"
                     raise TableParseError(None, message, order)
@@ -309,15 +314,16 @@ def binomial_proportion_ci(
     (Q(alpha/2)/F, Q(1 - alpha/2)/F). A non-integer F is rounded to the
     nearest integer (ties away from zero) first. Degenerate proportions 0 and
     1 return the point interval; any other proportion is refused when F < 1/2
-    rounds to 0 trials.
+    rounds to 0 trials. alpha must lie in (0, 1) with 1 - alpha/2 < 1 as a
+    float: below ~2**-53 the upper level rounds to 1, which has no quantile.
     """
     if not 0 <= proportion <= 1:
         raise ValueError(f"proportion must be in [0, 1], got {proportion}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not (0 < alpha < 1 and 1 - alpha / 2 < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1 as a float, got {alpha}")
     if F <= 0:
         raise ValueError(f"F must be positive, got {F}")
-    trials = _round_half_away(F)
+    trials = math.floor(Fraction(F) + Fraction(1, 2))
     if proportion == 0:
         return (0.0, 0.0)
     if proportion == 1:
@@ -330,37 +336,6 @@ def binomial_proportion_ci(
     lo = binomial_quantile(alpha / 2, trials, proportion) / trials
     hi = binomial_quantile(1 - alpha / 2, trials, proportion) / trials
     return (lo, hi)
-
-
-def _round_half_away(x: Real) -> int:
-    if isinstance(x, float):
-        x = Fraction(x)
-    if x < 0:
-        return -_round_half_away(-x)
-    return math.floor(Fraction(x) + Fraction(1, 2))
-
-
-def sigma_separation_k(mean_D: float, F: Real, n: int) -> float:
-    """Separation of <D> from its null mean, in units of sigma(<D>).
-
-    k = |<D> - (n^2-1)/3| / sqrt(V_n / F), where V_n is the shuffling
-    variance of D for the n-word star (:func:`variance_D_star`), e.g. 1 for
-    n=4 and 2/9 for n=3.
-    """
-    if n < 3:
-        raise ValueError(f"the sigma-separation statistic needs n >= 3, got {n}")
-    if F <= 0:
-        raise ValueError(f"total frequency F must be positive, got {F}")
-    return math.sqrt(float(F) / float(variance_D_star(n))) * abs(
-        mean_D - float(expected_D(n))
-    )
-
-
-def three_sigma_verdict(k: float) -> bool:
-    """True iff k >= 3, the (conservative) 3-sigma significance rule."""
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    return k >= 3
 
 
 @dataclass(frozen=True)
@@ -394,10 +369,17 @@ class HeadPlacementReport:
 def _distance_row(
     n: int, F: Fraction, total_D: Real
 ) -> tuple[Fraction, float, float, float]:
-    """(F, <D>, sigma(<D>), k) of F star phrases whose D values sum to total_D."""
+    """(F, <D>, sigma(<D>), k) of F star phrases whose D values sum to total_D.
+
+    sigma(<D>) = sqrt(V_n / F), with V_n the shuffling variance of D for the
+    n-word star (:func:`variance_D_star`), e.g. 1 for n=4 and 2/9 for n=3;
+    the 3-sigma rule compares k = |<D> - (n^2-1)/3| / sigma(<D>) with 3.
+    """
     mean_D = float(total_D / F)
-    sigma = math.sqrt(float(variance_D_star(n)) / float(F))
-    return F, mean_D, sigma, sigma_separation_k(mean_D, F, n)
+    variance = float(variance_D_star(n))
+    sigma = math.sqrt(variance / float(F))
+    k = math.sqrt(float(F) / variance) * abs(mean_D - float(expected_D(n)))
+    return F, mean_D, sigma, k
 
 
 def analyze(
@@ -430,10 +412,10 @@ def analyze(
             if value:
                 at[i] += value
         F = sum(at)
-        if F > _MAX_TOTAL_FREQUENCY:
+        if F > MAX_TOTAL_FREQUENCY:
             raise ValueError(
-                f"total frequency of unit {unit!r} exceeds 2**53 = "
-                f"{_MAX_TOTAL_FREQUENCY}, the largest count a float holds exactly"
+                f"total frequency of unit {unit!r} is above the limit of "
+                f"{MAX_TOTAL_FREQUENCY:,}: its intervals walk O(sqrt F) pmf terms"
             )
         if float(F) == 0:  # also an F below the smallest float, 5e-324
             raise ValueError(f"zero total frequency for unit {unit!r}")
@@ -469,7 +451,7 @@ def analyze(
                 mean_D=mean_D,
                 sigma_mean_D=sigma,
                 k=k,
-                three_sigma_significant=three_sigma_verdict(k),
+                three_sigma_significant=k >= 3,
                 ci_ends=binomial_proportion_ci(proportion, F, alpha),
                 ci_mid=binomial_proportion_ci(1 - proportion, F, alpha),
                 transforms=transforms,

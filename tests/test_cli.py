@@ -173,6 +173,16 @@ class TestAnalyze:
         assert code == 2
         assert "--alpha" in err
 
+    @pytest.mark.parametrize("alpha", ["1e-17", "1e-320", "5e-324"])
+    def test_alpha_must_leave_an_upper_quantile(self, capsys, table_file, alpha):
+        # in (0, 1), but 1 - alpha/2 rounds to 1.0; refused at the flag
+        code, out, err = run(capsys, "analyze", "--input", table_file, "--alpha", alpha)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --alpha must lie in (0, 1) with 1 - alpha/2 < 1 as a float, "
+            f"got {float(alpha)}\n"
+        )
+
     def test_zero_denominator_p0(self, capsys, table_file):
         code, out, err = run(capsys, "analyze", "--input", table_file, "--p0", "1/0")
         assert code == 2
@@ -200,12 +210,19 @@ class TestAnalyze:
         assert err == f"error: --p0 must lie in (0, 1) as a float, got {p0!r}\n"
 
     def test_count_beyond_float_exactness(self, capsys, tmp_path):
+        # refused above 10**9 by cost, far below where floats lose counts;
+        # the one-row unit at the bound is fast, its proportion is degenerate
         f = tmp_path / "huge.csv"
-        f.write_text("order,u\nnAND,1e400\nDNAn,1\n")
-        code, out, err = run(capsys, "analyze", "--input", str(f))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "2**53" in err and err.count("\n") == 1
+        for rows in ("nAND,1e400\nDNAn,1", "nAND,1e9\nDNAn,1"):
+            f.write_text(f"order,u\n{rows}\n")
+            start = time.perf_counter()
+            code, out, err = run(capsys, "analyze", "--input", str(f))
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "above the limit of 1,000,000,000" in err
+        f.write_text("order,u\nnAND,1e9\n")
+        assert run(capsys, "analyze", "--input", str(f))[0] == 0
 
     def test_two_symbol_table_refused(self, capsys, tmp_path):
         f = tmp_path / "pair.csv"

@@ -4,7 +4,7 @@ Every request either succeeds (exit 0, nothing on stderr) or is refused (exit
 2, stderr ending in one `error:` line); none ends in a traceback. Most
 requests are valid and some carry one corrupted field, so both paths are
 reached. Sizes stay small (alphabets of at most 6 symbols, trees of at most
-12 vertices, cells far below the costly F range or far above the 2**53
+12 vertices, cells far below the costly F range or far above the 10**9
 refusal), so the suite never launches an expensive request itself.
 """
 
@@ -23,7 +23,7 @@ SETTINGS = settings(max_examples=100, deadline=None)
 digits = st.integers(min_value=0, max_value=999).map(str)
 # exponents of at most three digits: small ones keep F below ~1e7, large
 # negative ones shrink a cell far below one instance, and large positive ones
-# (among the junk) are refused above 2**53
+# (among the junk) are refused above 10**9
 exponent = st.one_of(
     st.integers(min_value=-3, max_value=2), st.integers(min_value=-999, max_value=-100)
 )

@@ -13,19 +13,19 @@ DELETED = {
     ),
     stats: (
         "binomial_pmf", "p_head_at_ends", "order_distance_sum", "anti_locality_counts",
-        "mean_D_from_g",
+        "mean_D_from_g", "sigma_separation_k", "three_sigma_verdict", "_round_half_away",
     ),
     rings: ("adjacent",),
     # EnumerationCapError: every resource refusal is a plain ValueError
     nullmodel: (
         "DEFAULT_ENUMERATION_CAP", "_mass_sequence", "EnumerationCapError",
+        "ThreeSigmaAssumptions",
     ),
 }
 DELETED_MEMBERS = {
     trees.FreeTree: ("degree", "is_star"),
     stats.HeadPlacementReport: ("d_min", "d_max"),
     nullmodel.DiscreteDistribution: ("probability", "from_counts", "_power_sums"),
-    nullmodel.ThreeSigmaAssumptions: ("satisfied",),
 }
 
 
@@ -51,6 +51,8 @@ def test_deleted_names_are_gone():
     for cls, members in DELETED_MEMBERS.items():
         for member in members:
             assert not hasattr(cls, member), f"{cls.__name__}.{member}"
+    # kept in nullmodel only as an alias of is_unimodal for the benchmark tracer
+    assert "check_three_sigma_assumptions" not in headorder.__all__
 
 
 def test_one_limit_for_the_exact_distribution():

@@ -29,8 +29,6 @@ from headorder.stats import (
     binomial_quantile,
     quad_binomial_test,
     right_binomial_test,
-    sigma_separation_k,
-    three_sigma_verdict,
 )
 from headorder.trees import single_head_D, star
 
@@ -313,6 +311,14 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError, match=r"F = 2/5 rounds to 0 trials"):
             binomial_proportion_ci(0.5, Fraction(2, 5))
 
+    def test_alpha_leaves_an_upper_quantile(self):
+        # below ~2**-53, 1 - alpha/2 rounds to 1.0; refused before any pmf walk
+        for alpha in (0.0, 1.0, 1e-17, 1e-320, 5e-324, math.nan):
+            with pytest.raises(ValueError, match=r"1 - alpha/2 < 1 as a float"):
+                binomial_proportion_ci(0.5, 10**7, alpha)
+        lo, hi = binomial_proportion_ci(0.5, 100, 2**-52)  # 1 - 2**-53 < 1.0
+        assert 0 <= lo < 0.5 < hi <= 1
+
     def test_quantile_against_scipy(self):
         for trials in (10, 217, 576):
             for p in (0.3, 0.5, 0.640625):
@@ -348,30 +354,41 @@ class TestConfidenceInterval:
 
 
 class TestSigmaSeparation:
+    # analyze computes k and applies the 3-sigma rule, k >= 3, to every row
     def test_published_values(self):
-        assert sigma_separation_k(5.28125, 576, 4) == pytest.approx(6.75, abs=5e-3)
-        assert sigma_separation_k(mean_D_from_g(4, 192, 322), 322, 4) == pytest.approx(
-            3.46, abs=5e-3
-        )
-        mean_adjusted = mean_D_from_g(4, Fraction("123.2"), Fraction("217.4"))
-        assert sigma_separation_k(mean_adjusted, 217.4, 4) == pytest.approx(
-            1.97, abs=5e-3
-        )
+        languages, genera, adjusted = analyze(builtin_dryer_table())
+        assert languages.k == pytest.approx(6.75, abs=5e-3)
+        assert genera.k == pytest.approx(3.46, abs=5e-3)
+        assert adjusted.k == pytest.approx(1.97, abs=5e-3)
+        assert languages.three_sigma_significant and genera.three_sigma_significant
+        assert not adjusted.three_sigma_significant
 
     def test_closed_form_matches_ratio_route(self):
-        for n, mean_D in ((4, 5.3), (4, 4.7), (3, 2.8), (3, 2.5)):
-            for F in (81, 322, 576, 217.4):
-                ratio = abs(mean_D - float(expected_D(n))) / sigma_mean_D(star(n), F)
-                assert sigma_separation_k(mean_D, F, n) == pytest.approx(
-                    ratio, rel=1e-12
+        rng = random.Random(14)
+        tables = [builtin_dryer_table()]
+        for alphabet in ("ABn", "DNAn"):
+            for scale in (1, 10):  # integer and fractional F
+                count = math.factorial(len(alphabet))
+                frequencies = [Fraction(rng.randint(0, 99), scale) for _ in range(count)]
+                frequencies[0] += 1
+                tables.append(make_table(frequencies, alphabet=alphabet))
+        for table in tables:
+            for report in analyze(table):
+                null_mean = float(expected_D(report.n))
+                rows = ((report.F, report.mean_D, report.k),) + tuple(
+                    (F, mean_D, k) for F, mean_D, _, k in report.transforms
                 )
+                for F, mean_D, k in rows:
+                    ratio = abs(mean_D - null_mean) / sigma_mean_D(star(report.n), F)
+                    assert k == pytest.approx(ratio, rel=1e-12)
 
     def test_verdict(self):
-        assert three_sigma_verdict(6.75)
-        assert not three_sigma_verdict(1.97)
-        assert three_sigma_verdict(3.0)
-        with pytest.raises(ValueError):
-            three_sigma_verdict(-0.1)
+        # n = 4 with every order head-final: D = 6, mu = 5, V = 1, k = sqrt(F)
+        for F, k, significant in ((9, 3.0, True), (8, math.sqrt(8), False)):
+            table = OrderFrequencyTable(tuple("DNAn"), "n", ("u",), {"DNAn": {"u": F}})
+            (report,) = analyze(table)
+            assert report.k == k
+            assert report.three_sigma_significant is significant
 
 
 class TestAntiLocalityEquivalence:
@@ -466,13 +483,16 @@ class TestAnalyze:
         )
 
     def test_refuses_counts_beyond_float_exactness(self):
-        rows = {"nAND": {"u": Fraction(10) ** 400}}
+        # the bound is set by cost, far below where floats lose counts (2**53);
+        # a one-row unit at the bound is fast: its proportion is degenerate
+        for F in (10**9 + 1, Fraction(10) ** 400):
+            rows = {"nAND": {"u": Fraction(F)}}
+            table = OrderFrequencyTable(("D", "N", "A", "n"), "n", ("u",), rows)
+            with pytest.raises(ValueError, match="above the limit of 1,000,000,000"):
+                analyze(table)
+        rows = {"nAND": {"u": Fraction(10**9)}}
         table = OrderFrequencyTable(("D", "N", "A", "n"), "n", ("u",), rows)
-        with pytest.raises(ValueError, match=r"2\*\*53"):
-            analyze(table)
-        rows = {"nAND": {"u": Fraction(2**53)}}
-        table = OrderFrequencyTable(("D", "N", "A", "n"), "n", ("u",), rows)
-        assert analyze(table)[0].g == 2**53
+        assert analyze(table)[0].g == 10**9
 
     def test_p0_override(self):
         table = builtin_dryer_table()
@@ -594,6 +614,11 @@ class TestOrderFrequencyTable:
     @pytest.mark.parametrize("alphabet", ["DDAn", ("D", "NA", "n"), ("D", "", "n"), ()])
     def test_rejects_an_alphabet_of_no_distinct_characters(self, alphabet):
         assert self.refusal("alphabet", alphabet, "n", ("u",), {}) is None
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, "x", None, "1/0"])
+    def test_rejects_a_frequency_that_is_not_a_number(self, value):
+        rows = {"nAND": {"u": value}}
+        assert self.refusal("not a finite number", "DNAn", "n", ("u",), rows) == "nAND"
 
     @pytest.mark.parametrize("units", [("u", "u"), ("",), ()])
     def test_rejects_units_that_are_empty_or_repeated(self, units):
