@@ -14,16 +14,10 @@ import sys
 
 from . import reproduce
 from .dataio import (
-    DISTANCE_TITLES,
-    HEAD_END_TEST_TITLES,
     TableSchema,
-    distance_cells,
     export_plot_data,
-    format_p_value,
-    head_end_test_cells,
     load_frequency_table,
     parse_exact,
-    render_block,
     reports_to_csv,
     reports_to_text,
 )
@@ -37,8 +31,6 @@ from .rings import build_ring
 from .stats import analyze
 from .trees import parse_tree
 
-REPRODUCE_TARGETS = ("table2", "table3", "fig2", "fig3", "fig4", "sov-footnote", "all")
-DRYER_TARGETS = ("table2", "table3", "fig2", "fig3")
 # Options whose value is free text that may start with "-" (-1/2, -SOV=1);
 # argparse would take such a value for an option of its own.
 DASH_VALUE_OPTIONS = ("--p0", "--freq")
@@ -63,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro = add_parser(
         "reproduce", help="recompute a published table or figure from embedded data"
     )
-    p_repro.add_argument("target", choices=REPRODUCE_TARGETS)
+    p_repro.add_argument("target", choices=(*reproduce.TARGETS, "all"))
     p_repro.add_argument("--format", choices=("table", "csv"), default="table")
     p_repro.add_argument("--out", help="write output here instead of stdout")
     p_repro.set_defaults(func=_cmd_reproduce)
@@ -126,59 +118,9 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _reproduce_one(target: str, fmt: str, reports, sov_rows) -> tuple[str, list[str]]:
-    if target == "table2":
-        rows = reproduce.table2_rows(reports)
-        return (
-            render_block(HEAD_END_TEST_TITLES, head_end_test_cells(rows), fmt),
-            reproduce.check_table2(rows),
-        )
-    if target == "table3":
-        rows = reproduce.table3_rows(reports)
-        return (
-            render_block(DISTANCE_TITLES, distance_cells(rows), fmt),
-            reproduce.check_table3(rows),
-        )
-    if target == "fig2":
-        return reproduce.fig2_csv(reports), reproduce.check_fig2(reports)
-    if target == "fig3":
-        return reproduce.fig3_csv(reports), reproduce.check_fig3(reports)
-    if target == "fig4":
-        return reproduce.fig4_csv(), reproduce.check_fig4()
-    if target == "sov-footnote":
-        cells = [
-            (unit, str(F), str(g), str(p0), format_p_value(p))
-            for unit, F, g, p0, p in sov_rows
-        ]
-        body = render_block(("unit", "F", "g", "p0", "p-value"), cells, fmt)
-        matches = reproduce.sov_reproducing_p0(sov_rows)
-        lines = []
-        for unit, p0s in matches.items():
-            if p0s:
-                names = ", ".join(f"p0 = {p0}" for p0 in p0s)
-                lines.append(f"# {unit}: published value reproduced by {names}")
-            else:
-                lines.append(f"# {unit}: published value not reproduced")
-        return body + "\n".join(lines) + "\n", reproduce.check_sov_footnote(sov_rows)
-    raise ValueError(f"unknown reproduction target {target!r}")
-
-
 def _cmd_reproduce(args) -> int:
-    targets = REPRODUCE_TARGETS[:-1] if args.target == "all" else (args.target,)
-    # each computed once per run, and only when a requested target needs it
-    reports = (
-        reproduce.dryer_reports() if set(targets) & set(DRYER_TARGETS) else None
-    )
-    sov_rows = reproduce.sov_footnote_rows() if "sov-footnote" in targets else None
-    chunks = []
-    problems: list[str] = []
-    for target in targets:
-        body, target_problems = _reproduce_one(target, args.format, reports, sov_rows)
-        if len(targets) > 1:
-            chunks.append(f"== {target} ==")
-        chunks.append(body)
-        problems.extend(f"{target}: {p}" for p in target_problems)
-    _write(args, "\n".join(chunks))
+    text, problems = reproduce.run(args.target, args.format)
+    _write(args, text)
     if problems:
         for problem in problems:
             print(f"reproduction mismatch: {problem}", file=sys.stderr)

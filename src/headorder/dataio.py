@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rings import PermutationRing, ring_layout
+from .rings import ring_layout
 from .stats import HeadPlacementReport, OrderFrequencyTable, TableParseError
 from .trees import d_max_single_head, d_min_single_head
 
@@ -387,16 +387,14 @@ def export_plot_data(data: object, kind: str) -> str:
     * ``fig4``: permutation ring -> node layout block plus edge block.
     """
     if kind == "fig2":
-        reports = _expect_reports(data, kind)
         rows = []
-        for r in reports:
+        for r in data:
             rows.append((r.unit, "ends", r.proportion, r.ci_ends[0], r.ci_ends[1]))
             rows.append((r.unit, "middle", 1 - r.proportion, r.ci_mid[0], r.ci_mid[1]))
         return _csv_block(("unit", "placement", "proportion", "ci_lo", "ci_hi"), rows)
     if kind == "fig3":
-        reports = _expect_reports(data, kind)
         rows = []
-        for r in reports:
+        for r in data:
             mu = float(r.null_mean_D)
             band = []
             for k in (1, 2, 3):
@@ -418,8 +416,6 @@ def export_plot_data(data: object, kind: str) -> str:
             rows,
         )
     if kind == "fig4":
-        if not isinstance(data, PermutationRing):
-            raise ValueError("export kind 'fig4' expects a PermutationRing")
         layout_rows = (
             (node, angle, "" if freq is None else freq)
             for node, angle, freq in ring_layout(data)
@@ -429,10 +425,3 @@ def export_plot_data(data: object, kind: str) -> str:
         return layout + "\n" + edges
     raise ValueError(f"unknown export kind {kind!r}")
 
-
-def _expect_reports(data: object, kind: str) -> Sequence[HeadPlacementReport]:
-    if isinstance(data, Sequence) and data and all(
-        isinstance(item, HeadPlacementReport) for item in data
-    ):
-        return data
-    raise ValueError(f"export kind {kind!r} expects HeadPlacementReport data")

@@ -122,7 +122,10 @@ def sigma_mean_D(tree: FreeTree, F: Real) -> float:
     """Standard deviation of the F-instance average of D: sigma(D)/sqrt(F)."""
     if F <= 0:
         raise ValueError(f"instance count F must be positive, got {F}")
-    return math.sqrt(float(variance_D(tree)) / float(F))
+    sigma = math.sqrt(float(variance_D(tree)) / float(F))
+    if math.isinf(sigma):
+        raise ValueError(f"sigma(<D>) at F = {F} overflows a float")
+    return sigma
 
 
 def null_moments(tree: FreeTree, F: Real | None = None) -> NullMoments:

@@ -1,25 +1,84 @@
-"""Recompute the published tables and figures from the embedded data.
+"""The reproduction gate: published values, their rules, and every target.
 
 Each target has a builder (rows or CSV from the live pipeline) and a checker
-returning a list of mismatch descriptions; an empty list means the
-reproduction passes. Every published-value comparison goes through one loop,
-`_compare`, under the column rules kept beside the tables in `published`.
-Builders and checkers take the Dryer reports (`dryer_reports`) or the S/O/V
-rows (`sov_footnote_rows`) as an argument, so one run computes each once
-however many targets use it.
+returning a list of mismatch descriptions; an empty list means it passes.
+Every published column carries its rule: EXACT, SIG_FIGS (p-values to two
+significant figures) or an absolute tolerance. One loop, `_compare`, applies
+them. `run` renders the requested targets and computes the Dryer reports and
+the S/O/V rows once each, however many targets use them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from . import published
-from .dataio import builtin_dryer_table, builtin_sov_aggregates, distance_rows
-from .dataio import export_plot_data, head_end_test_rows
+from .dataio import DISTANCE_TITLES, HEAD_END_TEST_TITLES, builtin_dryer_table
+from .dataio import builtin_sov_aggregates, distance_cells, distance_rows
+from .dataio import export_plot_data, format_p_value, head_end_test_cells
+from .dataio import head_end_test_rows, render_block
 from .rings import build_ring
 from .stats import HeadPlacementReport, analyze, right_binomial_test
 
+EXACT = "exact"
+SIG_FIGS = "two significant figures"
+PROPORTION_TOL = 1e-3
+MEAN_D_TOL = 1e-3
+SIGMA_TOL = 1e-3
+K_TOL = 1e-2
+F_TOL = 1e-9
+
+# Each table's COLUMNS name its columns and its RULES say how each is compared.
+# Fractional-unit rows repeat per integer transform; a unit's first row is exact.
+TABLE2_COLUMNS = ("unit", "proportion", "counts F", "counts g", "p-value")
+TABLE2_RULES = (EXACT, PROPORTION_TOL, EXACT, EXACT, SIG_FIGS)
+TABLE2_PUBLISHED: tuple[tuple[str, float, int, int, float], ...] = (
+    ("languages", 0.641, 576, 369, 7.3e-12),
+    ("genera", 0.596, 322, 192, 3.3e-4),
+    ("adjusted", 0.567, 217, 123, 0.029),
+    ("adjusted", 0.564, 218, 123, 0.034),
+    ("adjusted", 0.571, 217, 124, 0.021),
+    ("adjusted", 0.569, 218, 124, 0.025),
+)
+
+TABLE3_COLUMNS = ("unit", "F", "D_min", "null mean", "sigma", "<D>", "D_max", "k")
+TABLE3_RULES = (EXACT, F_TOL, EXACT, EXACT, SIGMA_TOL, MEAN_D_TOL, EXACT, K_TOL)
+TABLE3_PUBLISHED: tuple[tuple[str, float, int, int, float, float, int, float], ...] = (
+    ("languages", 576, 4, 5, 0.042, 5.281, 6, 6.75),
+    ("genera", 322, 4, 5, 0.056, 5.193, 6, 3.46),
+    ("adjusted", 217.4, 4, 5, 0.068, 5.133, 6, 1.97),
+    ("adjusted", 217, 4, 5, 0.068, 5.134, 6, 1.97),
+    ("adjusted", 218, 4, 5, 0.068, 5.128, 6, 1.9),
+    ("adjusted", 217, 4, 5, 0.068, 5.143, 6, 2.1),
+    ("adjusted", 218, 4, 5, 0.068, 5.138, 6, 2.03),
+)
+
+# published right-tail p-values for the verb-end test on dominant S/O/V orders
+SOV_PUBLISHED: dict[str, float] = {"languages": 2.7e-30, "families": 9.2e-37}
 SOV_NULL_PROBABILITIES = (Fraction(1, 2), Fraction(2, 3))
+
+# the Fig. 4 hexagon: the node cycle, and the edges joining neighbours on it
+RING_NODES_PUBLISHED = ("SOV", "SVO", "VSO", "VOS", "OVS", "OSV")
+RING_COLUMNS = ("node cycle", "edges")
+RING_RULES = (EXACT, EXACT)
+
+TARGETS = ("table2", "table3", "fig2", "fig3", "fig4", "sov-footnote")
+
+
+def agrees(value, reference, rule) -> bool:
+    """True iff `value` matches `reference` under `rule`; tolerances compare floats."""
+    if rule is EXACT:
+        return value == reference
+    if rule is SIG_FIGS:
+        return format(value, ".1e") == format(reference, ".1e")
+    return abs(float(value) - reference) <= rule
+
+
+def within_order_of_magnitude(value: float, reference: float) -> bool:
+    """True iff the two positive values differ by at most a factor of ten."""
+    if value <= 0 or reference <= 0:
+        return False
+    return abs(math.log10(value) - math.log10(reference)) <= 1.0
 
 
 def dryer_reports() -> list[HeadPlacementReport]:
@@ -33,9 +92,8 @@ def table2_rows(
 
 
 def check_table2(rows) -> list[str]:
-    ref = published.TABLE2_PUBLISHED
-    labels = [f"{unit} (F={F}, g={g})" for unit, _, F, g, _ in ref]
-    return _compare(rows, ref, labels, published.TABLE2_COLUMNS, published.TABLE2_RULES)
+    labels = [f"{unit} (F={F}, g={g})" for unit, _, F, g, _ in TABLE2_PUBLISHED]
+    return _compare(rows, TABLE2_PUBLISHED, labels, TABLE2_COLUMNS, TABLE2_RULES)
 
 
 def table3_rows(reports: list[HeadPlacementReport]):
@@ -43,9 +101,8 @@ def table3_rows(reports: list[HeadPlacementReport]):
 
 
 def check_table3(rows) -> list[str]:
-    ref = published.TABLE3_PUBLISHED
-    labels = [f"{unit} (F={F})" for unit, F, *_ in ref]
-    return _compare(rows, ref, labels, published.TABLE3_COLUMNS, published.TABLE3_RULES)
+    labels = [f"{unit} (F={F})" for unit, F, *_ in TABLE3_PUBLISHED]
+    return _compare(rows, TABLE3_PUBLISHED, labels, TABLE3_COLUMNS, TABLE3_RULES)
 
 
 def sov_footnote_rows() -> list[tuple[str, int, int, Fraction, float]]:
@@ -61,7 +118,7 @@ def sov_reproducing_p0(rows) -> dict[str, list[Fraction]]:
     """Null probabilities whose p-value lands within 10x of the published one."""
     matches: dict[str, list[Fraction]] = {unit: [] for unit, *_ in rows}
     for unit, _, _, p0, p in rows:
-        if published.within_order_of_magnitude(p, published.SOV_PUBLISHED[unit]):
+        if within_order_of_magnitude(p, SOV_PUBLISHED[unit]):
             matches[unit].append(p0)
     return matches
 
@@ -80,13 +137,13 @@ def fig2_csv(reports: list[HeadPlacementReport]) -> str:
 
 
 def check_fig2(reports: list[HeadPlacementReport]) -> list[str]:
-    first = {row[0]: row for row in reversed(published.TABLE2_PUBLISHED)}
+    first = {row[0]: row for row in reversed(TABLE2_PUBLISHED)}
     problems = _compare(
         [(r.proportion,) for r in reports],
         [first[r.unit][1:2] for r in reports],
         [r.unit for r in reports],
-        published.TABLE2_COLUMNS[1:2],
-        published.TABLE2_RULES[1:2],
+        TABLE2_COLUMNS[1:2],
+        TABLE2_RULES[1:2],
     )
     return problems + [
         f"{r.unit}: interval [{lo}, {hi}] does not bracket {prop}"
@@ -101,13 +158,13 @@ def fig3_csv(reports: list[HeadPlacementReport]) -> str:
 
 
 def check_fig3(reports: list[HeadPlacementReport]) -> list[str]:
-    first = {row[0]: row for row in reversed(published.TABLE3_PUBLISHED)}
+    first = {row[0]: row for row in reversed(TABLE3_PUBLISHED)}
     return _compare(
         [(r.null_mean_D, r.sigma_mean_D, r.mean_D) for r in reports],
         [first[r.unit][3:6] for r in reports],
         [r.unit for r in reports],
-        published.TABLE3_COLUMNS[3:6],
-        published.TABLE3_RULES[3:6],
+        TABLE3_COLUMNS[3:6],
+        TABLE3_RULES[3:6],
     )
 
 
@@ -120,14 +177,14 @@ def fig4_csv() -> str:
 
 
 def check_fig4() -> list[str]:
-    ring, cycle = sov_ring(), published.RING_NODES_PUBLISHED
+    ring, cycle = sov_ring(), RING_NODES_PUBLISHED
     edges = sorted(map(sorted, zip(cycle, cycle[1:] + cycle[:1])))
     return _compare(
         [(ring.nodes, sorted(map(sorted, ring.edges)))],
         [(cycle, edges)],
         ["SOV ring"],
-        published.RING_COLUMNS,
-        published.RING_RULES,
+        RING_COLUMNS,
+        RING_RULES,
     )
 
 
@@ -139,5 +196,65 @@ def _compare(rows, expected, labels, columns, rules) -> list[str]:
         f"{label}: {column} {value} vs published {reference}"
         for row, reference_row, label in zip(rows, expected, labels)
         for column, rule, value, reference in zip(columns, rules, row, reference_row)
-        if not published.agrees(value, reference, rule)
+        if not agrees(value, reference, rule)
     ]
+
+
+def run(target: str, fmt: str) -> tuple[str, list[str]]:
+    """The output of `target`, or of every target for "all", and its mismatches.
+
+    `fmt` ("table" or "csv") sets how table2, table3 and sov-footnote are
+    rendered; the figures are CSV either way. With more than one target each
+    block gets a "== target ==" header. Each mismatch is led by its target's
+    name.
+    """
+    if target != "all" and target not in TARGETS:
+        raise ValueError(f"unknown reproduction target {target!r}")
+    targets = TARGETS if target == "all" else (target,)
+    # each computed once per run, and only when a requested target needs it
+    reports = dryer_reports() if set(targets) - {"fig4", "sov-footnote"} else None
+    sov_rows = sov_footnote_rows() if "sov-footnote" in targets else None
+    chunks = []
+    problems: list[str] = []
+    for name in targets:
+        body, found = _run_one(name, fmt, reports, sov_rows)
+        if len(targets) > 1:
+            chunks.append(f"== {name} ==")
+        chunks.append(body)
+        problems.extend(f"{name}: {problem}" for problem in found)
+    return "\n".join(chunks), problems
+
+
+def _run_one(target: str, fmt: str, reports, sov_rows) -> tuple[str, list[str]]:
+    if target == "table2":
+        rows = table2_rows(reports)
+        return (
+            render_block(HEAD_END_TEST_TITLES, head_end_test_cells(rows), fmt),
+            check_table2(rows),
+        )
+    if target == "table3":
+        rows = table3_rows(reports)
+        return (
+            render_block(DISTANCE_TITLES, distance_cells(rows), fmt),
+            check_table3(rows),
+        )
+    if target == "fig2":
+        return fig2_csv(reports), check_fig2(reports)
+    if target == "fig3":
+        return fig3_csv(reports), check_fig3(reports)
+    if target == "fig4":
+        return fig4_csv(), check_fig4()
+    # sov-footnote
+    cells = [
+        (unit, str(F), str(g), str(p0), format_p_value(p))
+        for unit, F, g, p0, p in sov_rows
+    ]
+    body = render_block(("unit", "F", "g", "p0", "p-value"), cells, fmt)
+    lines = []
+    for unit, p0s in sov_reproducing_p0(sov_rows).items():
+        if p0s:
+            names = ", ".join(f"p0 = {p0}" for p0 in p0s)
+            lines.append(f"# {unit}: published value reproduced by {names}")
+        else:
+            lines.append(f"# {unit}: published value not reproduced")
+    return body + "\n".join(lines) + "\n", check_sov_footnote(sov_rows)

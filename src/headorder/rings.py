@@ -38,7 +38,6 @@ class PermutationRing:
     is the general adjacent-transposition graph in lexicographic node order.
     """
 
-    symbols: tuple[str, ...]
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     frequencies: dict[str, object] | None = None
@@ -66,10 +65,10 @@ def build_ring(
     """Permutation graph of all orders of `alphabet` at swap distance one.
 
     Optional `frequencies` annotate nodes (order string -> count) for plotting;
-    keys must be valid orders. Only m=3 yields a ring proper; larger alphabets
-    produce the adjacent-transposition graph, and more than MAX_RING_SYMBOLS
-    symbols are refused. Edges are generated from the m-1 adjacent swaps of
-    each node, not searched for among all pairs of orders.
+    keys must be valid orders and counts non-negative. Only m=3 yields a ring
+    proper; larger alphabets produce the adjacent-transposition graph, and more
+    than MAX_RING_SYMBOLS symbols are refused. Edges are generated from the m-1
+    adjacent swaps of each node, not searched for among all pairs of orders.
     """
     symbols = _as_order(alphabet)
     m = len(symbols)
@@ -100,8 +99,11 @@ def build_ring(
         unknown = sorted(set(frequencies) - set(nodes))
         if unknown:
             raise ValueError(f"frequency keys not in node set: {', '.join(unknown)}")
+        negative = sorted(order for order, count in frequencies.items() if count < 0)
+        if negative:
+            raise ValueError(f"negative frequencies for: {', '.join(negative)}")
         frequencies = dict(frequencies)
-    return PermutationRing(symbols, nodes, tuple(edges), frequencies)
+    return PermutationRing(nodes, tuple(edges), frequencies)
 
 
 def ring_layout(ring: PermutationRing) -> tuple[tuple[str, float, object | None], ...]:

@@ -14,14 +14,13 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class FreeTree:
-    """Undirected tree on vertices 1..n with an optional designated head.
+    """Undirected tree on vertices 1..n.
 
     Vertex labels are opaque: they carry no positional meaning.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
-    head: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -40,8 +39,6 @@ class FreeTree:
                 raise ValueError(f"edge {u}-{v} outside vertex range 1..{self.n}")
         if not self._is_connected():
             raise ValueError("edges do not form a connected graph")
-        if self.head is not None and not (1 <= self.head <= self.n):
-            raise ValueError(f"head {self.head} outside vertex range 1..{self.n}")
 
     def _is_connected(self) -> bool:
         # n - 1 edges + connectivity is equivalent to being a tree.
@@ -72,7 +69,7 @@ def star(n: int) -> FreeTree:
     """Star tree on n vertices: vertex 1, the head, adjacent to every other vertex."""
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    return FreeTree(n, frozenset((1, v) for v in range(2, n + 1)), head=1)
+    return FreeTree(n, frozenset((1, v) for v in range(2, n + 1)))
 
 
 def path(n: int) -> FreeTree:
@@ -136,9 +133,10 @@ def parse_tree(text: str) -> FreeTree:
 
     Fields are semicolon-separated ``key=value`` pairs: ``n`` (required),
     ``edges`` (required, comma-separated ``u-v`` pairs, empty for n=1) and
-    ``head`` (optional). The shorthands ``star:N`` and ``path:N`` stand for
-    :func:`star` and :func:`path`. Whitespace around tokens is ignored.
-    More than MAX_TREE_VERTICES vertices are refused.
+    ``head`` (optional; checked to be a vertex, not kept). The shorthands
+    ``star:N`` and ``path:N`` stand for :func:`star` and :func:`path`.
+    Whitespace around tokens is ignored. More than MAX_TREE_VERTICES vertices
+    are refused.
     """
     kind, sep, count = text.strip().partition(":")
     if sep and kind in ("star", "path"):
@@ -176,5 +174,8 @@ def parse_tree(text: str) -> FreeTree:
             head = int(fields["head"])
         except ValueError:
             raise ValueError(f"invalid head {fields['head']!r}") from None
-    return FreeTree(n, frozenset(edges), head)
+    tree = FreeTree(n, frozenset(edges))
+    if head is not None and not 1 <= head <= n:
+        raise ValueError(f"head {head} outside vertex range 1..{n}")
+    return tree
 

@@ -32,18 +32,16 @@ from headorder.nullmodel import (
     variance_D,
     variance_D_star,
 )
-from headorder.published import (
-    SOV_PUBLISHED,
-    same_to_sig_figs,
-    within,
-    within_order_of_magnitude,
-)
 from headorder.reproduce import (
+    SIG_FIGS,
+    SOV_PUBLISHED,
+    agrees,
     dryer_reports,
     sov_footnote_rows,
     sov_reproducing_p0,
     table2_rows,
     table3_rows,
+    within_order_of_magnitude,
 )
 from headorder.rings import build_ring, swap_distance
 from headorder.stats import (
@@ -86,8 +84,8 @@ def test_criterion_1_table2():
     for (unit, prop, F, g, p), (e_unit, e_prop, e_F, e_g, e_p) in zip(rows, expected):
         assert unit == e_unit
         assert F == e_F and g == e_g  # counts exact
-        assert within(prop, e_prop, 1e-3)
-        assert same_to_sig_figs(p, e_p, 2)
+        assert agrees(prop, e_prop, 1e-3)
+        assert agrees(p, e_p, SIG_FIGS)
 
 
 @criterion(2, "average-distance table reproduced, including rounded variants")
@@ -108,9 +106,9 @@ def test_criterion_2_table3():
         assert unit == e_unit
         assert abs(float(F) - e_F) < 1e-9
         assert (d_lo, mu, d_hi) == (4, 5, 6)  # exact
-        assert within(sigma, e_sigma, 1e-3)
-        assert within(mean_D, e_mean, 1e-3)
-        assert within(k, e_k, 1e-2)
+        assert agrees(sigma, e_sigma, 1e-3)
+        assert agrees(mean_D, e_mean, 1e-3)
+        assert agrees(k, e_k, 1e-2)
 
 
 def _tree_shapes(n):

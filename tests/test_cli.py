@@ -333,6 +333,17 @@ class TestNullModel:
         assert out == ""
         assert err == f"error: --frequency must be a finite number, got {value}\n"
 
+    @pytest.mark.parametrize("value", ["1e-320", "5e-324"])
+    def test_sigma_overflow_refused(self, capsys, value):
+        code, out, err = run(capsys, "null-model", "--tree", "star:4", "--frequency", value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sigma(<D>) at F = ") and err.count("\n") == 1
+
+    def test_head_outside_the_tree(self, capsys):
+        code, out, err = run(capsys, "null-model", "--tree", "n=3; edges=1-2,2-3; head=4")
+        assert (code, out) == (2, "")
+        assert err == "error: head 4 outside vertex range 1..3\n"
+
     def test_shorthand_with_bad_count(self, capsys):
         code, out, err = run(capsys, "null-model", "--tree", "star:abc")
         assert code == 2
@@ -374,6 +385,11 @@ class TestRingCommand:
             code, out, err = run(capsys, "ring", *argv)
             assert (code, out) == (2, "")
             assert err == "error: frequency keys not in node set: -SOV\n"
+
+    def test_negative_count_refused(self, capsys):
+        code, out, err = run(capsys, "ring", "--symbols", "SOV", "--freq", "SOV=-3")
+        assert (code, out) == (2, "")
+        assert err == "error: negative frequencies for: SOV\n"
 
     def test_zero_denominator_count(self, capsys):
         code, out, err = run(capsys, "ring", "--freq", "SOV=1/0")

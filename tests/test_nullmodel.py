@@ -167,6 +167,11 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="positive"):
             sigma_mean_D(star(4), 0)
 
+    @pytest.mark.parametrize("F", [1e-320, 5e-324])
+    def test_sigma_refuses_an_overflow(self, F):
+        with pytest.raises(ValueError, match=f"at F = {F} overflows a float"):
+            sigma_mean_D(star(4), F)
+
     def test_null_moments_bundle(self):
         m = null_moments(star(4), 576)
         assert (m.mean, m.variance) == (5, 1)

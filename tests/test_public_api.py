@@ -1,9 +1,12 @@
 """The public surface of headorder: `__all__` is what a star import binds."""
 
+import importlib
 import inspect
 
+import pytest
+
 import headorder
-from headorder import dataio, nullmodel, reproduce, rings, stats, trees
+from headorder import cli, dataio, nullmodel, reproduce, rings, stats, trees
 
 # Names removed from the package because no production path called them.
 DELETED = {
@@ -21,9 +24,13 @@ DELETED = {
         "DEFAULT_ENUMERATION_CAP", "_mass_sequence", "EnumerationCapError",
         "ThreeSigmaAssumptions",
     ),
+    # the reproduction gate lives in reproduce: agrees applies every rule
+    reproduce: ("within", "same_to_sig_figs"),
+    cli: ("REPRODUCE_TARGETS", "DRYER_TARGETS", "_reproduce_one"),
 }
 DELETED_MEMBERS = {
-    trees.FreeTree: ("degree", "is_star"),
+    trees.FreeTree: ("degree", "is_star", "head"),
+    rings.PermutationRing: ("symbols",),
     stats.HeadPlacementReport: ("d_min", "d_max"),
     nullmodel.DiscreteDistribution: ("probability", "from_counts", "_power_sums"),
 }
@@ -51,8 +58,15 @@ def test_deleted_names_are_gone():
     for cls, members in DELETED_MEMBERS.items():
         for member in members:
             assert not hasattr(cls, member), f"{cls.__name__}.{member}"
+            assert member not in getattr(cls, "__dataclass_fields__", {}), member
     # kept in nullmodel only as an alias of is_unimodal for the benchmark tracer
     assert "check_three_sigma_assumptions" not in headorder.__all__
+
+
+def test_published_module_is_gone():
+    # its values, rules and comparisons moved into headorder.reproduce
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("headorder.published")
 
 
 def test_one_limit_for_the_exact_distribution():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from headorder import published
+from headorder import reproduce
 from headorder.cli import main
 from headorder.reproduce import (
     check_fig2,
@@ -94,10 +94,10 @@ class TestCheckersCatchDrift:
         assert any("<D>" in problem for problem in check_table3(rows))
 
     def test_fig2_reads_table2_proportion(self, monkeypatch):
-        drifted = list(published.TABLE2_PUBLISHED)
+        drifted = list(reproduce.TABLE2_PUBLISHED)
         unit, prop, F, g, p = drifted[0]
         drifted[0] = (unit, prop + 0.01, F, g, p)
-        monkeypatch.setattr(published, "TABLE2_PUBLISHED", tuple(drifted))
+        monkeypatch.setattr(reproduce, "TABLE2_PUBLISHED", tuple(drifted))
         assert any("proportion" in problem for problem in check_fig2(dryer_reports()))
 
     def test_fig2_interval_must_bracket(self):
@@ -109,57 +109,59 @@ class TestCheckersCatchDrift:
         assert check_fig2(reports) != []
 
     def test_fig3_reads_table3_sigma(self, monkeypatch):
-        drifted = list(published.TABLE3_PUBLISHED)
+        drifted = list(reproduce.TABLE3_PUBLISHED)
         unit, F, d_lo, mu, sigma, mean_D, d_hi, k = drifted[1]
         drifted[1] = (unit, F, d_lo, mu, sigma + 0.01, mean_D, d_hi, k)
-        monkeypatch.setattr(published, "TABLE3_PUBLISHED", tuple(drifted))
+        monkeypatch.setattr(reproduce, "TABLE3_PUBLISHED", tuple(drifted))
         assert any("sigma" in problem for problem in check_fig3(dryer_reports()))
 
     def test_fig4_node_order(self, monkeypatch):
-        nodes = published.RING_NODES_PUBLISHED
+        nodes = reproduce.RING_NODES_PUBLISHED
         monkeypatch.setattr(
-            published, "RING_NODES_PUBLISHED", (nodes[0], nodes[2], nodes[1], *nodes[3:])
+            reproduce, "RING_NODES_PUBLISHED", (nodes[0], nodes[2], nodes[1], *nodes[3:])
         )
         assert check_fig4() != []
 
     def test_sov_value_no_p0_reproduces(self, monkeypatch):
-        monkeypatch.setitem(published.SOV_PUBLISHED, "languages", 1e-10)
+        monkeypatch.setitem(reproduce.SOV_PUBLISHED, "languages", 1e-10)
         assert check_sov_footnote(sov_footnote_rows()) != []
 
 
 class TestCliMismatchExit:
     def test_exit_one_when_published_value_drifts(self, capsys, monkeypatch):
         # pretend the published table claimed a different count
-        drifted = list(published.TABLE2_PUBLISHED)
+        drifted = list(reproduce.TABLE2_PUBLISHED)
         unit, prop, F, g, p = drifted[0]
         drifted[0] = (unit, prop, F, g + 1, p)
-        monkeypatch.setattr(published, "TABLE2_PUBLISHED", tuple(drifted))
+        monkeypatch.setattr(reproduce, "TABLE2_PUBLISHED", tuple(drifted))
         code = main(["reproduce", "table2"])
         err = capsys.readouterr().err
         assert code == 1
         assert "mismatch" in err
 
 
+@pytest.fixture
+def input_calls(monkeypatch):
+    """Calls of the two shared inputs, counted through their module attributes."""
+    calls = {"dryer_reports": 0, "sov_footnote_rows": 0}
+    for name in calls:
+        original = getattr(reproduce, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(reproduce, name, counted)
+    return calls
+
+
 class TestSharedInputs:
-    def test_reproduce_all_computes_each_input_once(self, capsys, monkeypatch):
-        from headorder import reproduce
-
-        calls = {"dryer_reports": 0, "sov_footnote_rows": 0}
-        for name in calls:
-            original = getattr(reproduce, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(reproduce, name, counted)
+    def test_reproduce_all_computes_each_input_once(self, capsys, input_calls):
         assert main(["reproduce", "all"]) == 0
-        assert calls == {"dryer_reports": 1, "sov_footnote_rows": 1}
+        assert input_calls == {"dryer_reports": 1, "sov_footnote_rows": 1}
         capsys.readouterr()
 
     def test_fig4_alone_needs_neither_input(self, capsys, monkeypatch):
-        from headorder import reproduce
-
         def refuse():
             raise AssertionError("not needed for fig4")
 
@@ -167,3 +169,36 @@ class TestSharedInputs:
         monkeypatch.setattr(reproduce, "sov_footnote_rows", refuse)
         assert main(["reproduce", "fig4"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "target, expected",
+        [("all", (1, 1)), ("fig4", (0, 0)), ("table2", (1, 0)), ("sov-footnote", (0, 1))],
+    )
+    def test_run_computes_only_what_its_targets_need(self, input_calls, target, expected):
+        assert reproduce.run(target, "table")[1] == []
+        assert (input_calls["dryer_reports"], input_calls["sov_footnote_rows"]) == expected
+
+
+class TestRun:
+    def test_unknown_target_is_refused(self):
+        with pytest.raises(ValueError, match="unknown reproduction target 'bogus'"):
+            reproduce.run("bogus", "table")
+
+    def test_all_heads_each_block_and_names_each_mismatch(self, monkeypatch):
+        drifted = list(reproduce.TABLE2_PUBLISHED)
+        unit, prop, F, g, p = drifted[0]
+        drifted[0] = (unit, prop, F, g + 1, p)
+        monkeypatch.setattr(reproduce, "TABLE2_PUBLISHED", tuple(drifted))
+        text, problems = reproduce.run("all", "csv")
+        headers = [line for line in text.splitlines() if line.startswith("== ")]
+        assert headers == [f"== {target} ==" for target in reproduce.TARGETS]
+        assert problems == ["table2: languages (F=576, g=370): counts g 369 vs published 370"]
+
+    def test_agrees_applies_each_rule(self):
+        assert reproduce.agrees(576, 576, reproduce.EXACT)
+        assert not reproduce.agrees(577, 576, reproduce.EXACT)
+        assert reproduce.agrees(7.34e-12, 7.3e-12, reproduce.SIG_FIGS)
+        assert not reproduce.agrees(7.36e-12, 7.3e-12, reproduce.SIG_FIGS)
+        assert reproduce.agrees(0.6409, 0.641, reproduce.PROPORTION_TOL)
+        assert not reproduce.agrees(0.6421, 0.641, reproduce.PROPORTION_TOL)
+        assert reproduce.agrees(Fraction(2174, 10), 217.4, reproduce.F_TOL)

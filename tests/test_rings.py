@@ -122,6 +122,10 @@ class TestRing:
         with pytest.raises(ValueError, match="not in node set"):
             build_ring("SOV", {"XYZ": 1})
 
+    def test_negative_frequency(self):
+        with pytest.raises(ValueError, match="negative frequencies for: OSV, SOV$"):
+            build_ring("SOV", {"SOV": -3, "SVO": 0, "OSV": -1})
+
     def test_too_few_symbols(self):
         with pytest.raises(ValueError, match="at least 2"):
             build_ring("S")

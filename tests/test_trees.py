@@ -46,10 +46,6 @@ class TestFreeTree:
         with pytest.raises(ValueError):
             FreeTree(2, frozenset({(1, 3)}))
 
-    def test_head_range(self):
-        with pytest.raises(ValueError, match="head"):
-            FreeTree(2, frozenset({(1, 2)}), head=5)
-
 
 class TestDistances:
     def test_bouquet_and_balanced(self):
@@ -113,6 +109,16 @@ class TestTextForm:
     def test_parse_example(self):
         t = parse_tree("n=4; edges=1-2,1-3,1-4; head=1")
         assert t == star(4)
+
+    def test_head_range(self):
+        for head in (0, 5):
+            with pytest.raises(ValueError, match=f"head {head} outside vertex range 1..4"):
+                parse_tree(f"n=4; edges=1-2,1-3,1-4; head={head}")
+
+    def test_head_is_checked_not_kept(self):
+        # a tree is its vertices and edges: the same star with or without a head
+        same = [parse_tree(f"n=4; edges=1-2,1-3,1-4{h}") for h in ("", "; head=1", "; head=2")]
+        assert same == [star(4)] * 3
 
     def test_round_trip(self):
         assert parse_tree("n=5; edges=1-2,1-3,1-4,1-5; head=1") == star(5)
