@@ -164,9 +164,9 @@ def _cmd_null_model(args) -> int:
         f"variance of D = {moments.variance} = {float(moments.variance):.12g}",
     ]
     if moments.sigma_mean_D is not None:
-        lines.append(
-            f"sigma(<D>) at F = {args.frequency:g}: {moments.sigma_mean_D:.12g}"
-        )
+        # the shortest text that reads back as F, without a trailing ".0"
+        F = repr(args.frequency).removesuffix(".0")
+        lines.append(f"sigma(<D>) at F = {F}: {moments.sigma_mean_D:.12g}")
     output = "\n".join(lines) + "\n"
     if args.distribution:
         dist = enumerate_D_distribution(tree)

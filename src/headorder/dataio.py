@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .rings import ring_layout
 from .stats import HeadPlacementReport, OrderFrequencyTable, TableParseError
@@ -256,20 +256,6 @@ def distance_rows(
     return rows
 
 
-HEAD_END_TEST_HEADER = ("unit", "proportion", "F", "g", "p_value")
-DISTANCE_HEADER = ("unit", "F", "D_min", "null_mean_D", "sigma", "mean_D", "D_max", "k")
-CI_HEADER = (
-    "unit",
-    "proportion_ends",
-    "ci_ends_lo",
-    "ci_ends_hi",
-    "proportion_middle",
-    "ci_mid_lo",
-    "ci_mid_hi",
-    "three_sigma_significant",
-)
-
-
 def ci_rows(
     reports: Sequence[HeadPlacementReport],
 ) -> list[tuple[str, float, float, float, float, float, float, bool]]:
@@ -299,17 +285,6 @@ def _csv_block(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return buffer.getvalue()
 
 
-def reports_to_csv(reports: Sequence[HeadPlacementReport]) -> str:
-    """Machine-readable report: test block, distance block, CI block."""
-    return "\n".join(
-        (
-            _csv_block(HEAD_END_TEST_HEADER, head_end_test_rows(reports)),
-            _csv_block(DISTANCE_HEADER, distance_rows(reports)),
-            _csv_block(CI_HEADER, ci_rows(reports)),
-        )
-    )
-
-
 def format_p_value(p: float) -> str:
     """Two significant figures in scientific notation below 1e-3, else 3 decimals."""
     if p != 0 and p < 1e-3:
@@ -317,66 +292,83 @@ def format_p_value(p: float) -> str:
     return f"{p:.3f}"
 
 
-HEAD_END_TEST_TITLES = ("unit", "g/F", "F", "g", "p-value")
-DISTANCE_TITLES = ("unit", "F", "D_min", "mu(<D>)", "sigma(<D>)", "<D>", "D_max", "k")
+@dataclass(frozen=True)
+class Block:
+    """How one report block is printed.
+
+    `titles` head the console columns and `cells` maps one row, unpacked, to
+    its console cells. `header` heads the raw values in `reports_to_csv`; a
+    block without a raw CSV leaves it empty.
+    """
+
+    titles: tuple[str, ...]
+    cells: Callable[..., tuple[str, ...]]
+    header: tuple[str, ...] = ()
+
+    def render(self, rows: Iterable[Sequence[object]], fmt: str) -> str:
+        """The rows' console cells: CSV for fmt "csv", else left-aligned columns."""
+        cells = [self.cells(*row) for row in rows]
+        if fmt == "csv":
+            return _csv_block(self.titles, cells)
+        table = [self.titles, *cells]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        return "".join(
+            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+            for row in table
+        )
 
 
-def head_end_test_cells(rows) -> list[tuple[str, ...]]:
-    """Console cells of :func:`head_end_test_rows`."""
-    return [
-        (unit, f"{prop:.3f}", _fmt(F), _fmt(g), format_p_value(p))
-        for unit, prop, F, g, p in rows
-    ]
+# the cells look format_p_value up in this module when called, so rebinding
+# dataio.format_p_value reaches every block
+HEAD_END_TEST = Block(
+    ("unit", "g/F", "F", "g", "p-value"),
+    lambda unit, prop, F, g, p: (unit, f"{prop:.3f}", _fmt(F), _fmt(g), format_p_value(p)),
+    ("unit", "proportion", "F", "g", "p_value"),
+)
+DISTANCE = Block(
+    ("unit", "F", "D_min", "mu(<D>)", "sigma(<D>)", "<D>", "D_max", "k"),
+    lambda unit, F, d_lo, mu, sigma, mean, d_hi, k: (
+        unit, _fmt(F), str(d_lo), _fmt(mu), f"{sigma:.3f}", f"{mean:.3f}", str(d_hi), f"{k:.2f}"
+    ),
+    ("unit", "F", "D_min", "null_mean_D", "sigma", "mean_D", "D_max", "k"),
+)
+INTERVALS = Block(
+    ("unit", "ends", "CI(ends)", "middle", "CI(middle)", "3-sigma"),
+    lambda unit, prop, lo, hi, mid, mlo, mhi, sig: (
+        unit, f"{prop:.3f}", f"[{lo:.3f}, {hi:.3f}]", f"{mid:.3f}", f"[{mlo:.3f}, {mhi:.3f}]",
+        "yes" if sig else "no",
+    ),
+    (
+        "unit", "proportion_ends", "ci_ends_lo", "ci_ends_hi", "proportion_middle",
+        "ci_mid_lo", "ci_mid_hi", "three_sigma_significant",
+    ),
+)
+SOV_FOOTNOTE = Block(
+    ("unit", "F", "g", "p0", "p-value"),
+    lambda unit, F, g, p0, p: (unit, str(F), str(g), str(p0), format_p_value(p)),
+)
 
 
-def distance_cells(rows) -> list[tuple[str, ...]]:
-    """Console cells of :func:`distance_rows`."""
-    return [
-        (unit, _fmt(F), str(d_lo), _fmt(mu), f"{sigma:.3f}", f"{mean:.3f}", str(d_hi), f"{k:.2f}")
-        for unit, F, d_lo, mu, sigma, mean, d_hi, k in rows
-    ]
-
-
-def render_block(header: Sequence[str], cells: Sequence[Sequence[str]], fmt: str) -> str:
-    """One block of text cells: CSV for fmt "csv", else left-aligned columns."""
-    if fmt == "csv":
-        return _csv_block(header, cells)
-    table = [tuple(header)] + [tuple(row) for row in cells]
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines = []
-    for row in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+def reports_to_csv(reports: Sequence[HeadPlacementReport]) -> str:
+    """Machine-readable report: test block, distance block, CI block."""
+    blocks = (
+        (HEAD_END_TEST, head_end_test_rows), (DISTANCE, distance_rows), (INTERVALS, ci_rows)
+    )
+    return "\n".join(_csv_block(block.header, rows(reports)) for block, rows in blocks)
 
 
 def reports_to_text(reports: Sequence[HeadPlacementReport]) -> str:
     """Console rendering mirroring the two published tables plus intervals."""
-    interval_rows = [
+    return "\n".join(
         (
-            unit,
-            f"{prop:.3f}",
-            f"[{lo:.3f}, {hi:.3f}]",
-            f"{mid:.3f}",
-            f"[{mlo:.3f}, {mhi:.3f}]",
-            "yes" if sig else "no",
+            "Head placement at the ends (right-tail binomial test)",
+            HEAD_END_TEST.render(head_end_test_rows(reports), "table"),
+            "Average dependency-distance sum vs. the shuffling null",
+            DISTANCE.render(distance_rows(reports), "table"),
+            "Proportions with confidence intervals",
+            INTERVALS.render(ci_rows(reports), "table"),
         )
-        for unit, prop, lo, hi, mid, mlo, mhi, sig in ci_rows(reports)
-    ]
-    sections = [
-        "Head placement at the ends (right-tail binomial test)",
-        render_block(
-            HEAD_END_TEST_TITLES, head_end_test_cells(head_end_test_rows(reports)), "table"
-        ),
-        "Average dependency-distance sum vs. the shuffling null",
-        render_block(DISTANCE_TITLES, distance_cells(distance_rows(reports)), "table"),
-        "Proportions with confidence intervals",
-        render_block(
-            ("unit", "ends", "CI(ends)", "middle", "CI(middle)", "3-sigma"),
-            interval_rows,
-            "table",
-        ),
-    ]
-    return "\n".join(sections)
+    )
 
 
 def export_plot_data(data: object, kind: str) -> str:
@@ -388,9 +380,8 @@ def export_plot_data(data: object, kind: str) -> str:
     """
     if kind == "fig2":
         rows = []
-        for r in data:
-            rows.append((r.unit, "ends", r.proportion, r.ci_ends[0], r.ci_ends[1]))
-            rows.append((r.unit, "middle", 1 - r.proportion, r.ci_mid[0], r.ci_mid[1]))
+        for unit, ends, lo, hi, middle, mid_lo, mid_hi, _ in ci_rows(data):
+            rows += [(unit, "ends", ends, lo, hi), (unit, "middle", middle, mid_lo, mid_hi)]
         return _csv_block(("unit", "placement", "proportion", "ci_lo", "ci_hi"), rows)
     if kind == "fig3":
         rows = []

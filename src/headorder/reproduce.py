@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .dataio import DISTANCE_TITLES, HEAD_END_TEST_TITLES, builtin_dryer_table
-from .dataio import builtin_sov_aggregates, distance_cells, distance_rows
-from .dataio import export_plot_data, format_p_value, head_end_test_cells
-from .dataio import head_end_test_rows, render_block
+from .dataio import DISTANCE, HEAD_END_TEST, SOV_FOOTNOTE, builtin_dryer_table
+from .dataio import builtin_sov_aggregates, distance_rows, export_plot_data
+from .dataio import head_end_test_rows
 from .rings import build_ring
 from .stats import HeadPlacementReport, analyze, right_binomial_test
 
@@ -228,16 +227,10 @@ def run(target: str, fmt: str) -> tuple[str, list[str]]:
 def _run_one(target: str, fmt: str, reports, sov_rows) -> tuple[str, list[str]]:
     if target == "table2":
         rows = table2_rows(reports)
-        return (
-            render_block(HEAD_END_TEST_TITLES, head_end_test_cells(rows), fmt),
-            check_table2(rows),
-        )
+        return HEAD_END_TEST.render(rows, fmt), check_table2(rows)
     if target == "table3":
         rows = table3_rows(reports)
-        return (
-            render_block(DISTANCE_TITLES, distance_cells(rows), fmt),
-            check_table3(rows),
-        )
+        return DISTANCE.render(rows, fmt), check_table3(rows)
     if target == "fig2":
         return fig2_csv(reports), check_fig2(reports)
     if target == "fig3":
@@ -245,11 +238,7 @@ def _run_one(target: str, fmt: str, reports, sov_rows) -> tuple[str, list[str]]:
     if target == "fig4":
         return fig4_csv(), check_fig4()
     # sov-footnote
-    cells = [
-        (unit, str(F), str(g), str(p0), format_p_value(p))
-        for unit, F, g, p0, p in sov_rows
-    ]
-    body = render_block(("unit", "F", "g", "p0", "p-value"), cells, fmt)
+    body = SOV_FOOTNOTE.render(sov_rows, fmt)
     lines = []
     for unit, p0s in sov_reproducing_p0(sov_rows).items():
         if p0s:

@@ -298,6 +298,23 @@ class TestNullModel:
         assert code == 0
         assert "sigma(<D>)" in out
 
+    @pytest.mark.parametrize(
+        "tree, value",
+        [
+            ("star:4", "322"),
+            ("star:4", "576.123456789"),
+            ("star:4", "123456789"),
+            ("n=1; edges=", "1e-320"),  # subnormal: sigma(<D>) is 0 for one vertex
+        ],
+    )
+    def test_sigma_line_names_the_frequency_used(self, capsys, tree, value):
+        code, out, _ = run(capsys, "null-model", "--tree", tree, "--frequency", value)
+        assert code == 0
+        (line,) = [line for line in out.splitlines() if line.startswith("sigma(<D>) at F = ")]
+        shown = line.removeprefix("sigma(<D>) at F = ").partition(":")[0]
+        # it reads back as the F used, and no longer than it was given
+        assert float(shown) == float(value) and len(shown) <= len(value)
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(
             capsys, "null-model", "--tree", "path:17", "--distribution"

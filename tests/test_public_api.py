@@ -27,6 +27,11 @@ DELETED = {
     # the reproduction gate lives in reproduce: agrees applies every rule
     reproduce: ("within", "same_to_sig_figs"),
     cli: ("REPRODUCE_TARGETS", "DRYER_TARGETS", "_reproduce_one"),
+    # each report block's header, titles and cells are one dataio.Block
+    dataio: (
+        "HEAD_END_TEST_HEADER", "DISTANCE_HEADER", "CI_HEADER", "HEAD_END_TEST_TITLES",
+        "DISTANCE_TITLES", "head_end_test_cells", "distance_cells", "render_block",
+    ),
 }
 DELETED_MEMBERS = {
     trees.FreeTree: ("degree", "is_star", "head"),
@@ -83,6 +88,17 @@ def test_dataio_only_formats_reports():
         if name in statistics or name.startswith("variance_D")
     ]
     assert bound == []
+
+
+def test_reproduce_formats_through_blocks():
+    # reproduce renders through dataio's blocks and binds no formatter of its own
+    formatters = [
+        name for name in vars(reproduce)
+        if name in ("format_p_value", "render_block")
+        or name.endswith(("_cells", "_TITLES"))
+    ]
+    assert formatters == []
+    assert isinstance(reproduce.SOV_FOOTNOTE, dataio.Block)
 
 
 def test_no_parameter_that_no_caller_sets():

@@ -382,6 +382,33 @@ class TestSigmaSeparation:
                     ratio = abs(mean_D - null_mean) / sigma_mean_D(star(report.n), F)
                     assert k == pytest.approx(ratio, rel=1e-12)
 
+    def test_binomial_z_score_for_n_up_to_4(self):
+        # n <= 4: <D> is linear in g, so k = |g - pF| / sqrt(F p (1 - p)), p = 2/n;
+        # each transform row's k is that of its (T, s) pair. Cells stay small so
+        # that a nonzero |<D> - mu| is far above the rounding of <D>.
+        rng = random.Random(18)
+        tables = [builtin_dryer_table()]
+        for alphabet, top in (("ABn", 40), ("DNAn", 20)):
+            for scale in (1, 4):  # integer and fractional cells
+                for _ in range(10):
+                    count = math.factorial(len(alphabet))
+                    frequencies = [Fraction(rng.randint(0, top), scale) for _ in range(count)]
+                    frequencies[rng.randrange(count)] += 1
+                    tables.append(make_table(frequencies, alphabet=alphabet))
+        for table in tables:
+            for report in analyze(table):
+                p = Fraction(2, report.n)
+
+                def z(g, F):
+                    return float(abs(g - p * F)) / math.sqrt(float(F * p * (1 - p)))
+
+                assert report.k == pytest.approx(z(report.g, report.F), rel=1e-12)
+                fractional = report.F.denominator > 1 or report.g.denominator > 1
+                assert len(report.transforms) == (len(report.p_values) if fractional else 0)
+                for (T, s, _), (F, _, _, k) in zip(report.p_values, report.transforms):
+                    assert F == T
+                    assert k == pytest.approx(z(s, T), rel=1e-12)
+
     def test_verdict(self):
         # n = 4 with every order head-final: D = 6, mu = 5, V = 1, k = sqrt(F)
         for F, k, significant in ((9, 3.0, True), (8, math.sqrt(8), False)):
