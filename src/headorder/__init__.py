@@ -20,14 +20,12 @@ from .dataio import (
 )
 from .nullmodel import (
     DiscreteDistribution,
-    NullMoments,
     enumerate_D_distribution,
     expected_D,
     is_unimodal,
     null_moments,
     sigma_mean_D,
     variance_D,
-    variance_D_star,
 )
 from .rings import PermutationRing, build_ring, ring_layout, swap_distance
 from .stats import (
@@ -42,9 +40,6 @@ from .stats import (
 )
 from .trees import (
     FreeTree,
-    d_max_single_head,
-    d_min_single_head,
-    degree_second_moment,
     parse_tree,
     path,
     single_head_D,
@@ -57,7 +52,6 @@ __all__ = [
     "DiscreteDistribution",
     "FreeTree",
     "HeadPlacementReport",
-    "NullMoments",
     "OrderFrequencyTable",
     "PermutationRing",
     "TableParseError",
@@ -68,9 +62,6 @@ __all__ = [
     "build_ring",
     "builtin_dryer_table",
     "builtin_sov_aggregates",
-    "d_max_single_head",
-    "d_min_single_head",
-    "degree_second_moment",
     "enumerate_D_distribution",
     "expected_D",
     "export_plot_data",
@@ -90,5 +81,4 @@ __all__ = [
     "star",
     "swap_distance",
     "variance_D",
-    "variance_D_star",
 ]

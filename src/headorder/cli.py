@@ -157,20 +157,20 @@ def _cmd_null_model(args) -> int:
     if args.frequency is not None and not math.isfinite(args.frequency):
         raise ValueError(f"--frequency must be a finite number, got {args.frequency}")
     tree = parse_tree(args.tree)
-    moments = null_moments(tree, args.frequency)
+    mean, variance, sigma = null_moments(tree, args.frequency)
     lines = [
         f"n = {tree.n}",
-        f"mean D (shuffling) = {moments.mean} = {float(moments.mean):.12g}",
-        f"variance of D = {moments.variance} = {float(moments.variance):.12g}",
+        f"mean D (shuffling) = {mean} = {float(mean):.12g}",
+        f"variance of D = {variance} = {float(variance):.12g}",
     ]
-    if moments.sigma_mean_D is not None:
+    if sigma is not None:
         # the shortest text that reads back as F, without a trailing ".0"
         F = repr(args.frequency).removesuffix(".0")
-        lines.append(f"sigma(<D>) at F = {F}: {moments.sigma_mean_D:.12g}")
+        lines.append(f"sigma(<D>) at F = {F}: {sigma:.12g}")
     output = "\n".join(lines) + "\n"
     if args.distribution:
         dist = enumerate_D_distribution(tree)
-        agrees = dist.mean() == moments.mean and dist.variance() == moments.variance
+        agrees = dist.mean() == mean and dist.variance() == variance
         output += (
             "\n"
             + dist.to_csv()

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .rings import ring_layout
 from .stats import HeadPlacementReport, OrderFrequencyTable, TableParseError
-from .trees import d_max_single_head, d_min_single_head
+from .trees import single_head_D
 
 # Frequencies of the 24 preferred orders of demonstrative (D), numeral (N),
 # adjective (A) and noun (n), from Dryer's (2018) survey; measured in
@@ -248,7 +248,8 @@ def distance_rows(
     rows = []
     for report in reports:
         n = report.n
-        d_lo, d_hi = d_min_single_head(n), d_max_single_head(n)
+        # the head central gives the least D, the head at an end the most
+        d_lo, d_hi = single_head_D(n, (n + 1) // 2), single_head_D(n, 1)
         mu = report.null_mean_D
         exact = (report.F, report.mean_D, report.sigma_mean_D, report.k)
         for F, mean_D, sigma, k in (exact, *report.transforms):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .trees import FreeTree, degree_second_moment
+from .trees import FreeTree
 
 Real = Union[int, float, Fraction]
 
@@ -83,15 +83,6 @@ class DiscreteDistribution:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class NullMoments:
-    """Mean and variance of D under shuffling; sigma of the F-fold average."""
-
-    mean: Fraction
-    variance: Fraction
-    sigma_mean_D: float | None = None
-
-
 def expected_D(n: int) -> Fraction:
     """Mean of D under random shuffling: (n^2 - 1)/3, for any tree on n vertices."""
     if n < 1:
@@ -107,19 +98,14 @@ def variance_D(tree: FreeTree) -> Fraction:
     every 4-vertex tree has V(D) = 1.
     """
     n = tree.n
-    k2 = degree_second_moment(tree)
+    k2 = Fraction(sum(d * d for d in tree.degrees), n)
     return Fraction(n + 1, 45) * ((n - 1) ** 2 + (Fraction(n, 4) - 1) * n * k2)
-
-
-def variance_D_star(n: int) -> Fraction:
-    """Variance of D under random shuffling for the star tree on n vertices."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    return Fraction((n - 2) * (n - 1) * (n + 1) * (n + 2), 180)
 
 
 def sigma_mean_D(tree: FreeTree, F: Real) -> float:
     """Standard deviation of the F-instance average of D: sigma(D)/sqrt(F)."""
+    if isinstance(F, float) and not math.isfinite(F):
+        raise ValueError(f"instance count F must be a finite number, got {F}")
     if F <= 0:
         raise ValueError(f"instance count F must be positive, got {F}")
     sigma = math.sqrt(float(variance_D(tree)) / float(F))
@@ -128,9 +114,12 @@ def sigma_mean_D(tree: FreeTree, F: Real) -> float:
     return sigma
 
 
-def null_moments(tree: FreeTree, F: Real | None = None) -> NullMoments:
+def null_moments(
+    tree: FreeTree, F: Real | None = None
+) -> tuple[Fraction, Fraction, float | None]:
+    """(mean, variance) of D under shuffling, and sigma(<D>) at F (None without F)."""
     sigma = None if F is None else sigma_mean_D(tree, F)
-    return NullMoments(expected_D(tree.n), variance_D(tree), sigma)
+    return expected_D(tree.n), variance_D(tree), sigma
 
 
 def enumerate_D_distribution(tree: FreeTree) -> DiscreteDistribution:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .nullmodel import expected_D, variance_D_star
-from .trees import single_head_D
+from .nullmodel import expected_D, variance_D
+from .trees import single_head_D, star
 
 Real = Union[int, float, Fraction]
 
@@ -176,6 +176,12 @@ def binomial_log_pmf(k: int, n: int, p: Real) -> float:
     return exponent - 0.5 * log_scale
 
 
+def _check_finite(F: Real) -> None:
+    # an exact F is finite by construction; a float F may be nan or inf
+    if isinstance(F, float) and not math.isfinite(F):
+        raise ValueError(f"F must be a finite number, got {F}")
+
+
 def _validate_counts(successes: Real, trials: Real) -> tuple[int, int]:
     for name, value in (("trials", trials), ("successes", successes)):
         if int(value) != value:
@@ -262,8 +268,9 @@ def quad_binomial_test(
     in that order, leaving out pairs with no trial (floor F = 0 when F < 1).
     Integer inputs give a single test. When F and g fall in the same unit
     interval, ceil g can exceed floor F; successes are clamped to trials in
-    that degenerate combination.
+    that degenerate combination. A float F that is nan or infinite is refused.
     """
+    _check_finite(F)
     if not 0 <= g <= F:
         raise ValueError(f"need 0 <= g <= F, got g={g}, F={F}")
     g_lo, g_hi = math.floor(g), math.ceil(g)
@@ -316,11 +323,13 @@ def binomial_proportion_ci(
     1 return the point interval; any other proportion is refused when F < 1/2
     rounds to 0 trials. alpha must lie in (0, 1) with 1 - alpha/2 < 1 as a
     float: below ~2**-53 the upper level rounds to 1, which has no quantile.
+    A float F that is nan or infinite is refused.
     """
     if not 0 <= proportion <= 1:
         raise ValueError(f"proportion must be in [0, 1], got {proportion}")
     if not (0 < alpha < 1 and 1 - alpha / 2 < 1.0):
         raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1 as a float, got {alpha}")
+    _check_finite(F)
     if F <= 0:
         raise ValueError(f"F must be positive, got {F}")
     trials = math.floor(Fraction(F) + Fraction(1, 2))
@@ -367,18 +376,18 @@ class HeadPlacementReport:
 
 
 def _distance_row(
-    n: int, F: Fraction, total_D: Real
+    mu: float, variance: float, F: Fraction, total_D: Real
 ) -> tuple[Fraction, float, float, float]:
     """(F, <D>, sigma(<D>), k) of F star phrases whose D values sum to total_D.
 
-    sigma(<D>) = sqrt(V_n / F), with V_n the shuffling variance of D for the
-    n-word star (:func:`variance_D_star`), e.g. 1 for n=4 and 2/9 for n=3;
-    the 3-sigma rule compares k = |<D> - (n^2-1)/3| / sigma(<D>) with 3.
+    mu = (n^2-1)/3 and variance = V_n are the shuffling mean and variance of
+    D for the n-word star, e.g. V_n = 1 for n=4 and 2/9 for n=3. Then
+    sigma(<D>) = sqrt(V_n / F), and the 3-sigma rule compares
+    k = |<D> - mu| / sigma(<D>) with 3.
     """
     mean_D = float(total_D / F)
-    variance = float(variance_D_star(n))
     sigma = math.sqrt(variance / float(F))
-    k = math.sqrt(float(F) / variance) * abs(mean_D - float(expected_D(n)))
+    k = math.sqrt(float(F) / variance) * abs(mean_D - mu)
     return F, mean_D, sigma, k
 
 
@@ -403,6 +412,7 @@ def analyze(
             "every order puts the head at an end"
         )
     null_p = Fraction(p0) if p0 is not None else Fraction(2, n)
+    mu, variance = float(expected_D(n)), float(variance_D(star(n)))
     head_at = [(order.index(table.head), freqs) for order, freqs in table.rows.items()]
     reports = []
     for unit in table.units:
@@ -429,14 +439,14 @@ def analyze(
         g = at[0] + at[-1]
         p_values = quad_binomial_test(g, F, null_p)
         _, mean_D, sigma, k = _distance_row(
-            n, F, sum(f * single_head_D(n, i + 1) for i, f in enumerate(at))
+            mu, variance, F, sum(f * single_head_D(n, i + 1) for i, f in enumerate(at))
         )
         transforms = ()
         if n <= 4 and (F.denominator > 1 or g.denominator > 1):
             # n <= 4: D takes one value at the ends, one in the middle
             end_D, middle_D = single_head_D(n, 1), single_head_D(n, 2)
             transforms = tuple(
-                _distance_row(n, Fraction(T), s * end_D + (T - s) * middle_D)
+                _distance_row(mu, variance, Fraction(T), s * end_D + (T - s) * middle_D)
                 for T, s, _ in p_values
             )
         proportion = float(g / F)

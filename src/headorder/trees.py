@@ -9,7 +9,6 @@ tests; floats never enter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -90,25 +89,6 @@ def single_head_D(n: int, head_position: int) -> int:
     if not 1 <= head_position <= n:
         raise ValueError(f"head position {head_position} outside range 1..{n}")
     return head_position * head_position - (n + 1) * head_position + n * (n + 1) // 2
-
-
-def d_max_single_head(n: int) -> int:
-    """Largest possible D for a single-head phrase: n(n-1)/2, head at either end."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    return n * (n - 1) // 2
-
-
-def d_min_single_head(n: int) -> int:
-    """Smallest possible D for a single-head phrase: floor(n^2/4), head central."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    return n * n // 4
-
-
-def degree_second_moment(tree: FreeTree) -> Fraction:
-    """Second moment of degree about zero: (1/n) * sum of squared degrees."""
-    return Fraction(sum(d * d for d in tree.degrees), tree.n)
 
 
 # parse_tree refuses larger trees before building any edge. At this size

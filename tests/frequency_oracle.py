@@ -3,6 +3,8 @@
 `analyze` takes F, g and <D> from its one pass over the head positions, and
 <D> through the closed form `single_head_D`; these recompute them
 independently, one order at a time, or <D> from (F, g) for n = 3 and 4.
+`star_variance` is the star's own closed form for the shuffling variance,
+which `analyze` takes from the general `variance_D(star(n))`.
 """
 
 from fractions import Fraction
@@ -48,6 +50,11 @@ def anti_locality_counts(table: OrderFrequencyTable, unit: str) -> tuple[Fractio
         elif d < null_mean:
             f_minus += freqs.get(unit, Fraction(0))
     return f_plus, f_minus
+
+
+def star_variance(n: int) -> Fraction:
+    """Variance of D under shuffling for the n-vertex star: (n-2)(n-1)(n+1)(n+2)/180."""
+    return Fraction((n - 2) * (n - 1) * (n + 1) * (n + 2), 180)
 
 
 def mean_D_from_g(n: int, g, F) -> float:

@@ -17,6 +17,7 @@ from frequency_oracle import (
     head_end_frequency,
     mean_D_from_g,
     order_distance_sum,
+    star_variance,
     total_frequency,
 )
 from headorder.dataio import (
@@ -30,7 +31,6 @@ from headorder.nullmodel import (
     enumerate_D_distribution,
     expected_D,
     variance_D,
-    variance_D_star,
 )
 from headorder.reproduce import (
     SIG_FIGS,
@@ -131,7 +131,7 @@ def test_criterion_3_oracle_equivalence():
             assert dist.mean() == expected_D(n)
             assert dist.variance() == variance_D(tree)
     for n in range(2, 31):
-        assert variance_D_star(n) == variance_D(star(n))
+        assert star_variance(n) == variance_D(star(n))
 
 
 @criterion(4, "anti-locality count equals the head-end count, same p-values")

@@ -1,23 +1,31 @@
-"""Metamorphic relations of `headorder analyze`, through in-process `main()`.
+"""Metamorphic relations of `headorder analyze`.
 
 A report depends only on each unit's frequency at each head position, and the
 distance sum D of a position equals that of its mirror image. So reversing
 every order string, renaming the non-head symbols by a bijection and
-permuting the rows leave stdout byte-identical, and permuting the unit
-columns permutes the rows of every block. The tables (n = 3..6, at most six
-rows, small cells) are ones no golden holds, and none is costly.
+permuting the rows leave stdout of in-process `main()` byte-identical, and
+permuting the unit columns permutes the rows of every block. Two relations
+compare the reports of `stats.analyze`: scaling every cell by c keeps g/F and
+<D> and scales sigma by 1/sqrt(c) and k by sqrt(c); a unit summed cell by
+cell from two others has the summed F, g and F * <D>. The tables (n = 3..6,
+at most six rows, small cells) are ones no golden holds, and none is costly.
 """
 
 import contextlib
 import io
+import math
 import sys
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headorder import stats
 from headorder.cli import main
+from headorder.dataio import TableSchema, load_frequency_table
 
 SETTINGS = settings(max_examples=100, deadline=None)
+REPORT_SETTINGS = settings(max_examples=50, deadline=None)  # two analyses each, no text
 SYMBOLS = "ABCDE"  # the non-head symbols; the head is "n"
 
 cells = st.one_of(
@@ -112,3 +120,49 @@ def test_permuting_units_permutes_the_report_rows(table, fmt, data):
         assert [unit(line) for line in lines] == sorted(map(unit, lines), key=units.index)
         # a stable sort keeps each unit's rows (its transforms) in their order
         assert permuted_lines == sorted(lines, key=lambda line: permuted_units.index(unit(line)))
+
+
+def load(orders, units, rows) -> stats.OrderFrequencyTable:
+    return load_frequency_table(to_csv(orders, units, rows), TableSchema(head="n"))
+
+
+def with_cells(table, units, cell) -> stats.OrderFrequencyTable:
+    """The table over `units`, each cell given by cell(frequencies of the row, unit)."""
+    rows = {
+        order: {unit: cell(freqs, unit) for unit in units}
+        for order, freqs in table.rows.items()
+    }
+    return stats.OrderFrequencyTable(table.alphabet, table.head, units, rows)
+
+
+@REPORT_SETTINGS
+@given(tables(), st.sampled_from([2, 3, 7]))
+def test_scaling_every_cell_scales_sigma_and_k(table, c):
+    base = load(*table)
+    scaled = with_cells(base, base.units, lambda freqs, unit: c * freqs.get(unit, 0))
+    for report, scaled_report in zip(stats.analyze(base), stats.analyze(scaled)):
+        assert scaled_report.F == c * report.F
+        assert scaled_report.g / scaled_report.F == report.g / report.F
+        assert scaled_report.mean_D == report.mean_D
+        sigma = report.sigma_mean_D / math.sqrt(c)
+        assert math.isclose(scaled_report.sigma_mean_D, sigma, rel_tol=1e-12)
+        assert math.isclose(scaled_report.k, report.k * math.sqrt(c), rel_tol=1e-12)
+
+
+@REPORT_SETTINGS
+@given(tables())
+def test_a_unit_summed_from_two_adds_F_g_and_total_D(table):
+    base = load(*table)
+    u, v = base.units[0], base.units[-1]  # one unit twice if the table has one
+
+    def cell(freqs, unit):
+        if unit == "w":
+            return freqs.get(u, Fraction(0)) + freqs.get(v, Fraction(0))
+        return freqs.get(unit, Fraction(0))
+
+    summed = with_cells(base, (*base.units, "w"), cell)
+    reports = {report.unit: report for report in stats.analyze(summed)}
+    U, V, W = reports[u], reports[v], reports["w"]
+    assert (W.F, W.g) == (U.F + V.F, U.g + V.g)
+    total_D = float(U.F) * U.mean_D + float(V.F) * V.mean_D
+    assert math.isclose(float(W.F) * W.mean_D, total_D, rel_tol=1e-12)

@@ -13,6 +13,8 @@ DELETED = {
     trees: (
         "LinearArrangement", "sum_dependency_distances", "DependencyDistanceSummary",
         "single_head_summary", "tree_to_text",
+        # single_head_D and variance_D give D_min, D_max and <k^2> already
+        "d_min_single_head", "d_max_single_head", "degree_second_moment",
     ),
     stats: (
         "binomial_pmf", "p_head_at_ends", "order_distance_sum", "anti_locality_counts",
@@ -23,6 +25,8 @@ DELETED = {
     nullmodel: (
         "DEFAULT_ENUMERATION_CAP", "_mass_sequence", "EnumerationCapError",
         "ThreeSigmaAssumptions",
+        # variance_D(star(n)) is the star's variance; null_moments returns a tuple
+        "variance_D_star", "NullMoments",
     ),
     # the reproduction gate lives in reproduce: agrees applies every rule
     reproduce: ("within", "same_to_sig_figs"),

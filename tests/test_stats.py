@@ -16,10 +16,11 @@ from frequency_oracle import (
     head_end_frequency,
     mean_D_from_g,
     order_distance_sum,
+    star_variance,
     total_frequency,
 )
 from headorder.dataio import builtin_dryer_table, distance_rows, head_end_test_rows
-from headorder.nullmodel import expected_D, sigma_mean_D, variance_D_star
+from headorder.nullmodel import expected_D, sigma_mean_D
 from headorder.stats import (
     OrderFrequencyTable,
     TableParseError,
@@ -353,6 +354,22 @@ class TestConfidenceInterval:
             binomial_quantile(1.0, 10, 0.5)
 
 
+@pytest.mark.parametrize("F", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "function",
+    [
+        lambda F: sigma_mean_D(star(4), F),
+        lambda F: binomial_proportion_ci(0.5, F),
+        lambda F: quad_binomial_test(3, F, 0.5),
+    ],
+    ids=["sigma_mean_D", "binomial_proportion_ci", "quad_binomial_test"],
+)
+def test_a_non_finite_F_is_refused_by_name(function, F):
+    # no silent nan, no 0.0 sigma at F = inf and no OverflowError
+    with pytest.raises(ValueError, match=f"F must be a finite number, got {F}$"):
+        function(F)
+
+
 class TestSigmaSeparation:
     # analyze computes k and applies the 3-sigma rule, k >= 3, to every row
     def test_published_values(self):
@@ -561,7 +578,7 @@ class TestAnalyze:
                 exact_mean = sum(
                     f * order_distance_sum(o, "n") for o, f in zip(orders, frequencies)
                 ) / F
-                k_squared = (exact_mean - expected_D(n)) ** 2 * F / variance_D_star(n)
+                k_squared = (exact_mean - expected_D(n)) ** 2 * F / star_variance(n)
                 with localcontext() as context:
                     context.prec = 40
                     exact_k = (

@@ -7,9 +7,6 @@ from frequency_oracle import order_distance_sum
 from headorder.trees import (
     MAX_TREE_VERTICES,
     FreeTree,
-    d_max_single_head,
-    d_min_single_head,
-    degree_second_moment,
     parse_tree,
     path,
     single_head_D,
@@ -62,12 +59,9 @@ class TestDistances:
         assert single_head_D(3, 2) == 2
 
     def test_closed_form_bounds(self):
-        assert d_max_single_head(4) == 6
-        assert d_max_single_head(3) == 3
-        assert d_max_single_head(2) == 1
-        assert d_min_single_head(4) == 4
-        assert d_min_single_head(3) == 2
-        assert d_min_single_head(2) == 1
+        # D_max with the head at an end, D_min with the head central
+        assert [single_head_D(n, 1) for n in (4, 3, 2)] == [6, 3, 1]
+        assert [single_head_D(n, (n + 1) // 2) for n in (4, 3, 2)] == [4, 2, 1]
 
     def test_head_position_validated(self):
         with pytest.raises(ValueError):
@@ -88,10 +82,16 @@ class TestDistances:
                 assert single_head_D(n, pi) == single_head_D(n, n + 1 - pi)
 
     def test_extremes_of_head_placement(self):
+        # D_min = floor(n^2/4) and D_max = n(n-1)/2
         for n in range(2, 13):
             values = [single_head_D(n, pi) for pi in range(1, n + 1)]
-            assert min(values) == d_min_single_head(n)
-            assert values[0] == values[-1] == d_max_single_head(n)
+            assert min(values) == values[(n + 1) // 2 - 1] == n * n // 4
+            assert values[0] == values[-1] == n * (n - 1) // 2
+
+
+def degree_second_moment(tree: FreeTree) -> Fraction:
+    """<k^2>: the second moment of degree about zero, (1/n) * sum of squared degrees."""
+    return Fraction(sum(d * d for d in tree.degrees), tree.n)
 
 
 class TestDegreeMoment:
