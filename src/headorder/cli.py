@@ -28,7 +28,7 @@ from .nullmodel import (
     null_moments,
 )
 from .rings import build_ring
-from .stats import analyze
+from .stats import analyze, clip
 from .trees import parse_tree
 
 # Options whose value is free text that may start with "-" (-1/2, -SOV=1);
@@ -144,7 +144,7 @@ def _cmd_analyze(args) -> int:
     p0 = parse_exact(args.p0, "--p0") if args.p0 else None
     # the exact test comes first: float() of a Fraction above 1e308 overflows
     if p0 is not None and not (0 < p0 < 1 and 0.0 < float(p0) < 1.0):
-        raise ValueError(f"--p0 must lie in (0, 1) as a float, got {args.p0!r}")
+        raise ValueError(f"--p0 must lie in (0, 1) as a float, got {clip(repr(args.p0))}")
     reports = analyze(table, alpha=args.alpha, p0=p0)
     if args.format == "csv":
         _write(args, reports_to_csv(reports))
@@ -186,8 +186,8 @@ def _cmd_ring(args) -> int:
     for item in args.freq:
         order, sep, value = item.partition("=")
         if not sep:
-            raise ValueError(f"--freq expects ORDER=COUNT, got {item!r}")
-        frequencies[order.strip()] = parse_exact(value, f"--freq {item!r}")
+            raise ValueError(f"--freq expects ORDER=COUNT, got {clip(repr(item))}")
+        frequencies[order.strip()] = parse_exact(value, f"--freq {clip(repr(item))}")
     ring = build_ring(args.symbols, frequencies or None)
     _write(args, export_plot_data(ring, "fig4"))
     return 0

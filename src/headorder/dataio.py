@@ -11,12 +11,13 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .rings import ring_layout
-from .stats import HeadPlacementReport, OrderFrequencyTable, TableParseError
+from .stats import HeadPlacementReport, OrderFrequencyTable, TableParseError, clip
 from .trees import single_head_D
 
 # Frequencies of the 24 preferred orders of demonstrative (D), numeral (N),
@@ -77,16 +78,14 @@ def builtin_sov_aggregates() -> dict[str, tuple[int, int]]:
     return dict(_SOV_AGGREGATES)
 
 
-@dataclass(frozen=True)
-class TableSchema:
+class TableSchema(namedtuple("TableSchema", "head strict", defaults=(False,))):
     """How to read a frequency-table CSV.
 
     The alphabet is that of the first data row. `strict` requires every one
     of the n! orders to be present (by default, missing orders count as zero).
     """
 
-    head: str
-    strict: bool = False
+    __slots__ = ()
 
 
 # Fraction("1e3000000") builds 10**3000000 before anything can check it
@@ -99,8 +98,9 @@ _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 def parse_exact(text: str, what: str) -> Fraction:
     """An exact number from text such as '564', '0.5', '1/2' or '2.5e3'.
 
-    Raises ValueError, prefixed with `what`, for anything else and for a
-    decimal exponent above MAX_DECIMAL_EXPONENT in magnitude.
+    Raises ValueError, prefixed with `what`, for anything else, for a decimal
+    exponent above MAX_DECIMAL_EXPONENT in magnitude and for a run of digits
+    above Python's limit for an int from text (sys.get_int_max_str_digits()).
     """
     exponent = _EXPONENT.search(text)
     if exponent:
@@ -109,15 +109,17 @@ def parse_exact(text: str, what: str) -> Fraction:
         too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
         if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
             raise ValueError(
-                f"{what}: the decimal exponent of {text!r} exceeds "
+                f"{what}: the decimal exponent of {clip(repr(text))} exceeds "
                 f"{MAX_DECIMAL_EXPONENT} in magnitude"
             )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(
-            f"{what}: expected a number or fraction, got {text!r}"
-        ) from None
+        reason = "expected a number or fraction"
+        limit = sys.get_int_max_str_digits()  # 0 for no limit
+        if limit and re.search(r"\d{%d}" % (limit + 1), text.replace("_", "")):
+            reason = f"more than {limit:,} digits in a row, Python's limit for an int"
+        raise ValueError(f"{what}: {reason}, got {clip(repr(text))}") from None
 
 
 def load_frequency_table(
@@ -137,10 +139,12 @@ def load_frequency_table(
     text = text.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise TableParseError(None, "empty input, expected a header row") from None
-    header = [cell.strip() for cell in header]
+        records = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:  # not a ValueError; e.g. a field above csv.field_size_limit()
+        raise TableParseError(reader.line_num, str(exc)) from None
+    if not records:
+        raise TableParseError(None, "empty input, expected a header row")
+    header = [cell.strip() for cell in records[0][1]]
     if not header or header[0] != "order":
         raise TableParseError(1, "first header column must be 'order'")
     units = tuple(header[1:])
@@ -149,8 +153,7 @@ def load_frequency_table(
 
     rows: dict[str, dict[str, Fraction]] = {}
     lines: dict[str, int] = {}
-    for row in reader:
-        line = reader.line_num
+    for line, row in records[1:]:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):
@@ -159,11 +162,12 @@ def load_frequency_table(
             )
         order = row[0].strip()
         if order in rows:
-            raise TableParseError(line, f"duplicate order {order!r}")
+            raise TableParseError(line, f"duplicate order {clip(repr(order))}")
         freqs: dict[str, Fraction] = {}
         for unit, cell in zip(units, row[1:]):
+            what = f"invalid frequency for unit {clip(repr(unit))}"
             try:
-                freqs[unit] = parse_exact(cell.strip(), f"invalid frequency for unit {unit!r}")
+                freqs[unit] = parse_exact(cell.strip(), what)
             except ValueError as exc:
                 raise TableParseError(line, str(exc)) from None
         rows[order] = freqs
@@ -293,18 +297,15 @@ def format_p_value(p: float) -> str:
     return f"{p:.3f}"
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "titles cells header", defaults=((),))):
     """How one report block is printed.
 
     `titles` head the console columns and `cells` maps one row, unpacked, to
-    its console cells. `header` heads the raw values in `reports_to_csv`; a
-    block without a raw CSV leaves it empty.
+    its console cells, a tuple of str. `header` heads the raw values in
+    `reports_to_csv`; a block without a raw CSV leaves it empty.
     """
 
-    titles: tuple[str, ...]
-    cells: Callable[..., tuple[str, ...]]
-    header: tuple[str, ...] = ()
+    __slots__ = ()
 
     def render(self, rows: Iterable[Sequence[object]], fmt: str) -> str:
         """The rows' console cells: CSV for fmt "csv", else left-aligned columns."""

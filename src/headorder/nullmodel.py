@@ -10,7 +10,7 @@ against the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Union
 
@@ -24,32 +24,34 @@ Real = Union[int, float, Fraction]
 DP_CEILING = 16
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
+class DiscreteDistribution(namedtuple("DiscreteDistribution", "support counts")):
     """Exact distribution over integer values of D, held as integer counts.
 
     Value ``support[i]`` occurs in ``counts[i]`` of ``total`` equally likely
-    arrangements (n! of them for a tree on n vertices).
+    arrangements (n! of them for a tree on n vertices). Construction, and
+    `_make` and `_replace` through it, check both.
     """
 
-    support: tuple[int, ...]
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, support, counts) -> DiscreteDistribution:
         # Tuples are built from lists throughout this class: a tuple built from
         # a generator grows by resizing, which skips CPython's tuple free list
         # on the way in but refills it on release, so a long-lived process
         # would keep up to 2000 dead tuples of every size below 20 resident.
-        support = tuple(self.support)
-        counts = tuple(self.counts)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "counts", counts)
+        support = tuple(support)
+        counts = tuple(counts)
         if not support or len(support) != len(counts):
             raise ValueError("support and counts must be matched, non-empty sequences")
         if any(b <= a for a, b in zip(support, support[1:])):
             raise ValueError("support must be strictly increasing")
         if any(type(c) is not int or c <= 0 for c in counts):
             raise ValueError("all counts must be positive integers")
+        return super().__new__(cls, support, counts)
+
+    @classmethod
+    def _make(cls, iterable) -> DiscreteDistribution:
+        return cls(*iterable)
 
     @property
     def total(self) -> int:

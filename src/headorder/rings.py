@@ -8,7 +8,7 @@ orders joined at swap distance one form a 6-cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
@@ -29,8 +29,9 @@ def swap_distance(a: Sequence[str], b: Sequence[str]) -> int:
     return sum(x > y for x, y in combinations([rank[symbol] for symbol in b], 2))
 
 
-@dataclass(frozen=True)
-class PermutationRing:
+class PermutationRing(
+    namedtuple("PermutationRing", "nodes edges frequencies", defaults=(None,))
+):
     """All m! orders of an alphabet, joined at swap distance one.
 
     For m=3 the graph is a 6-cycle and `nodes` follows it, starting from the
@@ -38,9 +39,7 @@ class PermutationRing:
     is the general adjacent-transposition graph in lexicographic node order.
     """
 
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    frequencies: dict[str, object] | None = None
+    __slots__ = ()
 
 
 # build_ring refuses more symbols before building any order: m = 8 gives

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Union
 
@@ -50,59 +50,65 @@ class TableParseError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class OrderFrequencyTable:
+def clip(text: str) -> str:
+    """Outside text as an error message repeats it: past 40 characters, its middle goes."""
+    return text if len(text) <= 40 else f"{text[:30]}...{text[-7:]}"
+
+
+class OrderFrequencyTable(namedtuple("OrderFrequencyTable", "alphabet head units rows")):
     """Frequencies of the n! orders of an n-symbol phrase, per measurement unit.
 
     Symbols are single characters so that an order is a plain string (e.g.
     ``"nAND"``); order strings are case-sensitive. Orders absent from `rows`
     count as frequency zero. The alphabet is a set; it is stored sorted so
     that tables built from differently-ordered alphabets compare equal.
-    Construction checks every rule of a table and raises
-    :class:`TableParseError` for the first one broken.
+    Construction, and `_make` and `_replace` through it, check every rule of
+    a table and raise :class:`TableParseError` for the first one broken.
     """
 
-    alphabet: tuple[str, ...]
-    head: str
-    units: tuple[str, ...]
-    rows: dict[str, dict[str, Fraction]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        alphabet = tuple(sorted(self.alphabet))
-        units = tuple(self.units)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "units", units)
+    def __new__(cls, alphabet, head: str, units, rows) -> OrderFrequencyTable:
+        alphabet = tuple(sorted(alphabet))
+        units = tuple(units)
         symbols, canon = "".join(alphabet), list(alphabet)
         # distinct single characters: their characters, sorted, are the alphabet
         if not canon or sorted(set(symbols)) != canon:
-            message = f"alphabet {alphabet!r} must be a non-empty set of single characters"
-            raise TableParseError(None, message)
-        if self.head not in alphabet:
-            message = f"head symbol {self.head!r} not in alphabet {symbols!r}"
+            message = "must be a non-empty set of single characters"
+            raise TableParseError(None, f"alphabet {clip(repr(alphabet))} {message}")
+        if head not in alphabet:
+            message = f"head symbol {clip(repr(head))} not in alphabet {clip(repr(symbols))}"
             raise TableParseError(None, message)
         if not units or not all(units) or len(set(units)) != len(units):
-            raise TableParseError(None, f"units must be non-empty and distinct, got {units!r}")
-        rows: dict[str, dict[str, Fraction]] = {}
-        for order, freqs in self.rows.items():
+            message = f"units must be non-empty and distinct, got {clip(repr(units))}"
+            raise TableParseError(None, message)
+        clean_rows: dict[str, dict[str, Fraction]] = {}
+        for order, freqs in rows.items():
             if sorted(order) != canon:
-                message = f"order {order!r} is not a permutation of {symbols!r}"
-                raise TableParseError(None, message, order)
+                message = f"order {clip(repr(order))} is not a permutation"
+                raise TableParseError(None, f"{message} of {clip(repr(symbols))}", order)
             clean: dict[str, Fraction] = {}
             for unit, value in freqs.items():
                 if unit not in units:
-                    raise TableParseError(None, f"unknown unit {unit!r} in row {order!r}", order)
+                    message = f"unknown unit {clip(repr(unit))} in row {clip(repr(order))}"
+                    raise TableParseError(None, message, order)
                 if type(value) is not Fraction:
                     try:
                         value = Fraction(value)
                     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-                        message = f"frequency {value!r} of {order!r} is not a finite number"
+                        message = f"frequency {clip(repr(value))} of {clip(repr(order))}"
+                        message += " is not a finite number"
                         raise TableParseError(None, message, order) from None
                 if value < 0:
-                    message = f"negative frequency {value} for {order!r} / {unit!r}"
-                    raise TableParseError(None, message, order)
+                    message = f"negative frequency {clip(str(value))} for {clip(repr(order))}"
+                    raise TableParseError(None, f"{message} / {clip(repr(unit))}", order)
                 clean[unit] = value
-            rows[order] = clean
-        object.__setattr__(self, "rows", rows)
+            clean_rows[order] = clean
+        return super().__new__(cls, alphabet, head, units, clean_rows)
+
+    @classmethod
+    def _make(cls, iterable) -> OrderFrequencyTable:
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -347,8 +353,13 @@ def binomial_proportion_ci(
     return (lo, hi)
 
 
-@dataclass(frozen=True)
-class HeadPlacementReport:
+class HeadPlacementReport(
+    namedtuple(
+        "HeadPlacementReport",
+        "unit n F g proportion p_values mean_D sigma_mean_D k three_sigma_significant"
+        " ci_ends ci_mid transforms",
+    )
+):
     """Per-unit analysis bundle for one order-frequency table.
 
     `transforms` holds the (F, <D>, sigma(<D>), k) row of each integer
@@ -356,19 +367,7 @@ class HeadPlacementReport:
     units and from n = 5 on, where (F, g) no longer fix <D>.
     """
 
-    unit: str
-    n: int
-    F: Fraction
-    g: Fraction
-    proportion: float
-    p_values: tuple[tuple[int, int, float], ...]  # (trials, successes, p)
-    mean_D: float
-    sigma_mean_D: float
-    k: float
-    three_sigma_significant: bool
-    ci_ends: tuple[float, float]
-    ci_mid: tuple[float, float]
-    transforms: tuple[tuple[Fraction, float, float, float], ...]
+    __slots__ = ()
 
     @property
     def null_mean_D(self) -> Fraction:
@@ -412,7 +411,8 @@ def analyze(
             "every order puts the head at an end"
         )
     null_p = Fraction(p0) if p0 is not None else Fraction(2, n)
-    mu, variance = float(expected_D(n)), float(variance_D(star(n)))
+    null_mean, null_variance = expected_D(n), variance_D(star(n))
+    mu, variance = float(null_mean), float(null_variance)
     head_at = [(order.index(table.head), freqs) for order, freqs in table.rows.items()]
     reports = []
     for unit in table.units:
@@ -438,9 +438,8 @@ def analyze(
             )
         g = at[0] + at[-1]
         p_values = quad_binomial_test(g, F, null_p)
-        _, mean_D, sigma, k = _distance_row(
-            mu, variance, F, sum(f * single_head_D(n, i + 1) for i, f in enumerate(at))
-        )
+        total_D = sum(f * single_head_D(n, i + 1) for i, f in enumerate(at))
+        _, mean_D, sigma, k = _distance_row(mu, variance, F, total_D)
         transforms = ()
         if n <= 4 and (F.denominator > 1 or g.denominator > 1):
             # n <= 4: D takes one value at the ends, one in the middle
@@ -461,7 +460,8 @@ def analyze(
                 mean_D=mean_D,
                 sigma_mean_D=sigma,
                 k=k,
-                three_sigma_significant=k >= 3,
+                # k >= 3 in exact arithmetic: F (<D> - mu)^2 >= 9 V_n, times F
+                three_sigma_significant=(total_D - F * null_mean) ** 2 >= 9 * F * null_variance,
                 ci_ends=binomial_proportion_ci(proportion, F, alpha),
                 ci_mid=binomial_proportion_ci(1 - proportion, F, alpha),
                 transforms=transforms,

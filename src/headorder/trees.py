@@ -8,41 +8,34 @@ tests; floats never enter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class FreeTree:
-    """Undirected tree on vertices 1..n.
+class FreeTree(namedtuple("FreeTree", "n edges")):
+    """Undirected tree on vertices 1..n, `edges` a frozenset of (u, v) with u < v.
 
-    Vertex labels are opaque: they carry no positional meaning.
+    Vertex labels are opaque: they carry no positional meaning. Construction,
+    and `_make` and `_replace` through it, refuse edges that form no tree.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        edges = frozenset((min(u, v), max(u, v)) for u, v in self.edges)
-        object.__setattr__(self, "edges", edges)
-        if len(edges) != self.n - 1:
+    def __new__(cls, n: int, edges) -> FreeTree:
+        if n < 1:
+            raise ValueError(f"vertex count must be >= 1, got {n}")
+        edges = frozenset((min(u, v), max(u, v)) for u, v in edges)
+        if len(edges) != n - 1:
             raise ValueError(
-                f"a tree on {self.n} vertices needs {self.n - 1} edges, "
-                f"got {len(edges)}"
+                f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}"
             )
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge {u}-{v} outside vertex range 1..{self.n}")
-        if not self._is_connected():
-            raise ValueError("edges do not form a connected graph")
-
-    def _is_connected(self) -> bool:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge {u}-{v} outside vertex range 1..{n}")
         # n - 1 edges + connectivity is equivalent to being a tree.
-        adjacency: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for u, v in self.edges:
+        adjacency: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+        for u, v in edges:
             adjacency[u].append(v)
             adjacency[v].append(u)
         seen = {1}
@@ -52,7 +45,13 @@ class FreeTree:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == self.n
+        if len(seen) != n:
+            raise ValueError("edges do not form a connected graph")
+        return super().__new__(cls, n, edges)
+
+    @classmethod
+    def _make(cls, iterable) -> FreeTree:
+        return cls(*iterable)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -66,15 +65,11 @@ class FreeTree:
 
 def star(n: int) -> FreeTree:
     """Star tree on n vertices: vertex 1, the head, adjacent to every other vertex."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
     return FreeTree(n, frozenset((1, v) for v in range(2, n + 1)))
 
 
 def path(n: int) -> FreeTree:
     """Path 1-2-...-n."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
     return FreeTree(n, frozenset((v, v + 1) for v in range(1, n)))
 
 

@@ -439,6 +439,39 @@ class TestResourceRefusals:
         err = self.refuse(capsys, "analyze", "--input", str(f), "--p0", "5e-100001")
         assert err.startswith("error: --p0:") and "exceeds 1000 in magnitude" in err
 
+    @pytest.mark.parametrize(
+        "cell, reason",
+        [
+            ("9" * 200_000, "line 2: field larger than field limit (131072)"),
+            ("9" * 5_000, "more than 4,300 digits in a row"),
+        ],
+        ids=["field-limit", "digit-limit"],
+    )
+    def test_cell_above_a_python_limit(self, capsys, tmp_path, cell, reason):
+        f = tmp_path / "big.csv"
+        f.write_text(f"order,u\nnAN,{cell}\nANn,1\n")
+        err = self.refuse(capsys, "analyze", "--input", str(f), "--head", "n")
+        assert reason in err and len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--p0", "0." + "9" * 5_000], "more than 4,300 digits in a row"),
+            (["--p0", "1" * 4_000], "--p0 must lie in (0, 1)"),
+            (["--head", "x" * 5_000], "not in alphabet 'ADNn'"),
+        ],
+        ids=["p0-digits", "p0-range", "head"],
+    )
+    def test_long_analyze_option_is_clipped(self, capsys, tmp_path, argv, reason):
+        f = tmp_path / "dryer.csv"
+        f.write_text(serialize_frequency_table(builtin_dryer_table()))
+        err = self.refuse(capsys, "analyze", "--input", str(f), *argv)
+        assert reason in err and "..." in err and len(err.encode()) < 200
+
+    def test_long_ring_count_is_clipped(self, capsys):
+        err = self.refuse(capsys, "ring", "--freq", "SOV=" + "1" * 5_000)
+        assert "more than 4,300 digits in a row" in err and len(err.encode()) < 200
+
     def test_too_many_ring_symbols(self, capsys):
         err = self.refuse(capsys, "ring", "--symbols", "ABCDEFGHI")
         assert "9 symbols are above the limit of 8" in err
@@ -480,6 +513,19 @@ class TestParserReuse:
             "raise SystemExit(cli.build_parser.cache_info().currsize)"
         )
         subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # the records are namedtuples; dataclasses, with the inspect it
+        # imports, would cost every process ~10 ms of start-up
+        src = os.path.dirname(os.path.dirname(headorder.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        check = (
+            "import sys, headorder.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        argv = [sys.executable, "-S", "-c", check]
+        loaded = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+        assert loaded.stdout == "\n"
 
 
 @pytest.mark.parametrize(

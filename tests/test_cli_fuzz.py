@@ -5,7 +5,8 @@ Every request either succeeds (exit 0, nothing on stderr) or is refused (exit
 requests are valid and some carry one corrupted field, so both paths are
 reached. Sizes stay small (alphabets of at most 6 symbols, trees of at most
 12 vertices, cells far below the costly F range or far above the 10**9
-refusal), so the suite never launches an expensive request itself.
+refusal), so the suite never launches an expensive request itself. Among the
+junk are texts above Python's digit limit and above csv's field limit.
 """
 
 import contextlib
@@ -35,6 +36,9 @@ numbers = st.one_of(
 )
 junk = st.one_of(
     st.text(alphabet="x-/.e+ 1;,=:\t\"", max_size=6),
+    # above Python's 4,300-digit limit for an int from text, and above csv's
+    # field size limit of 131,072 characters
+    st.sampled_from(["9" * 5_000, "9" * 200_000]),
     st.builds("-{}".format, digits),
     st.builds("{}/0".format, digits),
     st.builds("{}e{}".format, digits, st.integers(min_value=100, max_value=999)),
@@ -120,6 +124,8 @@ def frequency_tables(draw):
     ),
 )
 @example(table="order,u\nnAD,3\nAnD,4\nADn,5\n", options=["--p0=1e400"])
+@example(table="order,u\nnAD,3\nAnD," + "9" * 200_000 + "\n", options=[])
+@example(table="order,u\nnAD,3\nAnD," + "9" * 5_000 + "\n", options=[])
 @example(table="order,u\nnAD,3\nAnD,4\nADn,5\n", options=["--p0", "-1/2"])
 @SETTINGS
 def test_analyze(table, options):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -183,6 +184,13 @@ class TestLoader:
             load_frequency_table(text, TableSchema(head="n"))
         assert info.value.line == 4
 
+    def test_field_above_the_csv_limit(self):
+        # csv raises csv.Error, not a ValueError; the loader names the line
+        text = "order,u\nnAND,3\nDNAn," + "9" * 200_000 + "\n"
+        with pytest.raises(TableParseError, match="field larger than field limit") as info:
+            load_frequency_table(text, TableSchema(head="n"))
+        assert info.value.line == 3
+
     def test_repeated_unit_column(self):
         with pytest.raises(TableParseError, match="distinct") as info:
             load_frequency_table("order,u,u\nnAND,3,4\n", TableSchema(head="n"))
@@ -290,6 +298,16 @@ class TestParseExact:
         for text in (f"1e{limit + 1}", f"5E-{limit + 1}", "0e999999999", "1e" + "9" * 5000):
             with pytest.raises(ValueError, match="^x: the decimal exponent .* exceeds"):
                 parse_exact(text, "x")
+
+    def test_digit_limit(self):
+        # Python's int() refuses a longer run of digits; the message names
+        # that limit and shows only the ends of the text
+        limit = sys.get_int_max_str_digits()
+        for text in ("9" * (limit + 1), "0." + "9" * (limit + 1), "1/" + "1_" * limit + "1"):
+            with pytest.raises(ValueError, match=f"^x: more than {limit:,} digits") as info:
+                parse_exact(text, "x")
+            assert len(str(info.value)) < 120
+        assert parse_exact("9" * limit, "x") == int("9" * limit)
 
     def test_invalid(self):
         for text in ("many", "1/0", "nan", "1e5/2", ""):

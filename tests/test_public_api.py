@@ -67,7 +67,7 @@ def test_deleted_names_are_gone():
     for cls, members in DELETED_MEMBERS.items():
         for member in members:
             assert not hasattr(cls, member), f"{cls.__name__}.{member}"
-            assert member not in getattr(cls, "__dataclass_fields__", {}), member
+            assert member not in cls._fields, member
     # kept in nullmodel only as an alias of is_unimodal for the benchmark tracer
     assert "check_three_sigma_assumptions" not in headorder.__all__
 
@@ -109,3 +109,47 @@ def test_no_parameter_that_no_caller_sets():
     assert list(inspect.signature(trees.star).parameters) == ["n"]
     assert list(inspect.signature(reproduce.dryer_reports).parameters) == []
     assert list(inspect.signature(reproduce.sov_ring).parameters) == []
+
+
+RECORDS = (
+    trees.FreeTree, nullmodel.DiscreteDistribution, stats.OrderFrequencyTable,
+    stats.HeadPlacementReport, rings.PermutationRing, dataio.Block, dataio.TableSchema,
+)
+
+
+def test_records_are_tuples_without_instance_dicts():
+    for cls in RECORDS:
+        assert issubclass(cls, tuple) and cls.__slots__ == (), cls.__name__
+    assert trees.FreeTree(2, [(2, 1)]) == (2, frozenset({(1, 2)}))
+    assert dataio.TableSchema("n") == ("n", False)
+
+
+@pytest.mark.parametrize(
+    "record, field, bad, error, message",
+    [
+        (trees.FreeTree(3, {(1, 2), (2, 3)}), "n", 0, ValueError, "vertex count must be >= 1"),
+        (trees.FreeTree(3, {(1, 2), (2, 3)}), "edges", {(1, 2)}, ValueError, "needs 2 edges"),
+        (
+            nullmodel.DiscreteDistribution([0, 1], [1, 1]), "counts", [1, 0], ValueError,
+            "positive integers",
+        ),
+        (
+            stats.OrderFrequencyTable("nA", "n", ("u",), {}), "head", "x", stats.TableParseError,
+            "head symbol 'x'",
+        ),
+    ],
+    ids=["tree-n", "tree-edges", "distribution", "table"],
+)
+def test_checked_records_check_every_copy(record, field, bad, error, message):
+    # a namedtuple's own _make, and _replace through it, would skip __new__
+    cls = type(record)
+    fields = {**record._asdict(), field: bad}
+    with pytest.raises(error, match=message):
+        cls(**fields)
+    with pytest.raises(error, match=message):
+        cls._make(fields.values())
+    with pytest.raises(error, match=message):
+        record._replace(**{field: bad})
+    with pytest.raises(AttributeError):
+        setattr(record, field, bad)
+    assert cls._make(record) == record._replace() == record

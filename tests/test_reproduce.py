@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -103,8 +102,8 @@ class TestCheckersCatchDrift:
     def test_fig2_interval_must_bracket(self):
         reports = dryer_reports()
         report = reports[0]
-        reports[0] = dataclasses.replace(
-            report, ci_ends=(report.proportion + 0.01, report.proportion + 0.02)
+        reports[0] = report._replace(
+            ci_ends=(report.proportion + 0.01, report.proportion + 0.02)
         )
         assert check_fig2(reports) != []
 

@@ -427,9 +427,19 @@ class TestSigmaSeparation:
                     assert k == pytest.approx(z(s, T), rel=1e-12)
 
     def test_verdict(self):
-        # n = 4 with every order head-final: D = 6, mu = 5, V = 1, k = sqrt(F)
-        for F, k, significant in ((9, 3.0, True), (8, math.sqrt(8), False)):
-            table = OrderFrequencyTable(tuple("DNAn"), "n", ("u",), {"DNAn": {"u": F}})
+        # n = 4: D = 6 with the head at an end and 4 in the middle, mu = 5 and
+        # V = 1. Every order head-final gives k = sqrt(F). 20 x nADN and 5 x
+        # DnAN give F = 25 and <D> = 28/5, so k = 3 exactly, which the rule
+        # must accept although float k is 2.9999999999999982.
+        cases = (
+            ({"DNAn": 9}, 3.0, True),
+            ({"DNAn": 8}, math.sqrt(8), False),
+            ({"nADN": 20, "DnAN": 5}, pytest.approx(3.0, rel=1e-12), True),
+        )
+        for rows, k, significant in cases:
+            table = OrderFrequencyTable(
+                tuple("DNAn"), "n", ("u",), {order: {"u": F} for order, F in rows.items()}
+            )
             (report,) = analyze(table)
             assert report.k == k
             assert report.three_sigma_significant is significant
