@@ -28,7 +28,8 @@ from .nullmodel import (
     null_moments,
 )
 from .rings import build_ring
-from .stats import analyze, clip
+from .messages import clip
+from .stats import analyze, check_alpha
 from .trees import parse_tree
 
 # Options whose value is free text that may start with "-" (-1/2, -SOV=1);
@@ -130,10 +131,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if not (0 < args.alpha < 1 and 1 - args.alpha / 2 < 1.0):
-        raise ValueError(
-            f"--alpha must lie in (0, 1) with 1 - alpha/2 < 1 as a float, got {args.alpha}"
-        )
+    check_alpha(args.alpha, "--alpha")  # before the table is read
     if args.input == "-":
         source = sys.stdin.read()
     else:

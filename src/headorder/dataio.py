@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .rings import ring_layout
-from .stats import HeadPlacementReport, OrderFrequencyTable, TableParseError, clip
+from .messages import clip
+from .stats import HeadPlacementReport, OrderFrequencyTable, TableParseError
 from .trees import single_head_D
 
 # Frequencies of the 24 preferred orders of demonstrative (D), numeral (N),
@@ -60,17 +61,15 @@ DRYER_UNITS = ("languages", "genera", "adjusted")
 _SOV_AGGREGATES = {"languages": (5128, 2971), "families": (340, 282)}
 
 
+# parsed once; OrderFrequencyTable copies each row's dict into every new table
+_DRYER_FREQUENCIES = {
+    order: dict(zip(DRYER_UNITS, map(Fraction, counts))) for order, *counts in _DRYER_ROWS
+}
+
+
 def builtin_dryer_table() -> OrderFrequencyTable:
-    """The embedded noun-phrase order table (24 rows x 3 units)."""
-    rows = {
-        order: {
-            "languages": Fraction(languages),
-            "genera": Fraction(genera),
-            "adjusted": Fraction(adjusted),
-        }
-        for order, languages, genera, adjusted in _DRYER_ROWS
-    }
-    return OrderFrequencyTable(DRYER_ALPHABET, DRYER_HEAD, DRYER_UNITS, rows)
+    """The embedded noun-phrase order table (24 rows x 3 units), new on each call."""
+    return OrderFrequencyTable(DRYER_ALPHABET, DRYER_HEAD, DRYER_UNITS, _DRYER_FREQUENCIES)
 
 
 def builtin_sov_aggregates() -> dict[str, tuple[int, int]]:
@@ -264,21 +263,11 @@ def distance_rows(
 def ci_rows(
     reports: Sequence[HeadPlacementReport],
 ) -> list[tuple[str, float, float, float, float, float, float, bool]]:
-    rows = []
-    for r in reports:
-        rows.append(
-            (
-                r.unit,
-                r.proportion,
-                r.ci_ends[0],
-                r.ci_ends[1],
-                1 - r.proportion,
-                r.ci_mid[0],
-                r.ci_mid[1],
-                r.three_sigma_significant,
-            )
-        )
-    return rows
+    """(unit, ends, CI(ends), middle, CI(middle), 3-sigma) rows; one read of each interval."""
+    return [
+        (r.unit, r.proportion, *r.ci_ends, 1 - r.proportion, *r.ci_mid, r.three_sigma_significant)
+        for r in reports
+    ]
 
 
 def _csv_block(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -376,13 +365,16 @@ def reports_to_text(reports: Sequence[HeadPlacementReport]) -> str:
 def export_plot_data(data: object, kind: str) -> str:
     """CSV plot data for one of the figure kinds.
 
-    * ``fig2``: report list -> per-unit proportions (ends / middle) with CI.
+    * ``fig2``: report list, or its :func:`ci_rows` -> per-unit proportions
+      (ends / middle) with CI.
     * ``fig3``: report list -> per-unit null mean, sigma, <D>, 1..3-sigma bands.
     * ``fig4``: permutation ring -> node layout block plus edge block.
     """
     if kind == "fig2":
+        if all(isinstance(r, HeadPlacementReport) for r in data):
+            data = ci_rows(data)
         rows = []
-        for unit, ends, lo, hi, middle, mid_lo, mid_hi, _ in ci_rows(data):
+        for unit, ends, lo, hi, middle, mid_lo, mid_hi, _ in data:
             rows += [(unit, "ends", ends, lo, hi), (unit, "middle", middle, mid_lo, mid_hi)]
         return _csv_block(("unit", "placement", "proportion", "ci_lo", "ci_hi"), rows)
     if kind == "fig3":

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .dataio import DISTANCE, HEAD_END_TEST, SOV_FOOTNOTE, builtin_dryer_table
-from .dataio import builtin_sov_aggregates, distance_rows, export_plot_data
+from .dataio import builtin_sov_aggregates, ci_rows, distance_rows, export_plot_data
 from .dataio import head_end_test_rows
 from .rings import build_ring
 from .stats import HeadPlacementReport, analyze, right_binomial_test
@@ -131,23 +131,24 @@ def check_sov_footnote(rows) -> list[str]:
     return [f"not one null probability common to all units: {matches}"]
 
 
-def fig2_csv(reports: list[HeadPlacementReport]) -> str:
-    return export_plot_data(reports, "fig2")
+def fig2_csv(rows) -> str:
+    return export_plot_data(rows, "fig2")
 
 
-def check_fig2(reports: list[HeadPlacementReport]) -> list[str]:
+def check_fig2(rows) -> list[str]:
+    """Mismatches of the :func:`~headorder.dataio.ci_rows` behind Fig. 2."""
     first = {row[0]: row for row in reversed(TABLE2_PUBLISHED)}
     problems = _compare(
-        [(r.proportion,) for r in reports],
-        [first[r.unit][1:2] for r in reports],
-        [r.unit for r in reports],
+        [(ends,) for _, ends, *_ in rows],
+        [first[unit][1:2] for unit, *_ in rows],
+        [unit for unit, *_ in rows],
         TABLE2_COLUMNS[1:2],
         TABLE2_RULES[1:2],
     )
     return problems + [
-        f"{r.unit}: interval [{lo}, {hi}] does not bracket {prop}"
-        for r in reports
-        for lo, hi, prop in ((*r.ci_ends, r.proportion), (*r.ci_mid, 1 - r.proportion))
+        f"{unit}: interval [{lo}, {hi}] does not bracket {prop}"
+        for unit, ends, ends_lo, ends_hi, middle, mid_lo, mid_hi, _ in rows
+        for lo, hi, prop in ((ends_lo, ends_hi, ends), (mid_lo, mid_hi, middle))
         if not 0.0 <= lo <= prop <= hi <= 1.0
     ]
 
@@ -232,7 +233,8 @@ def _run_one(target: str, fmt: str, reports, sov_rows) -> tuple[str, list[str]]:
         rows = table3_rows(reports)
         return DISTANCE.render(rows, fmt), check_table3(rows)
     if target == "fig2":
-        return fig2_csv(reports), check_fig2(reports)
+        rows = ci_rows(reports)  # computes each interval, once for both uses
+        return fig2_csv(rows), check_fig2(rows)
     if target == "fig3":
         return fig3_csv(reports), check_fig3(reports)
     if target == "fig4":

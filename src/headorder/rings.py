@@ -12,11 +12,13 @@ from collections import namedtuple
 from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
+from .messages import clip
+
 
 def _as_order(order: Sequence[str]) -> tuple[str, ...]:
     symbols = tuple(order)
     if len(set(symbols)) != len(symbols):
-        raise ValueError(f"repeated symbols in order {order!r}")
+        raise ValueError(f"repeated symbols in order {clip(repr(order))}")
     return symbols
 
 
@@ -24,7 +26,8 @@ def swap_distance(a: Sequence[str], b: Sequence[str]) -> int:
     """Minimal number of adjacent swaps turning `a` into `b` (inversion count)."""
     a, b = _as_order(a), _as_order(b)
     if set(a) != set(b) or len(a) != len(b):
-        raise ValueError(f"orders {a!r} and {b!r} are over different symbol sets")
+        orders = f"{clip(repr(a))} and {clip(repr(b))}"
+        raise ValueError(f"orders {orders} are over different symbol sets")
     rank = {symbol: i for i, symbol in enumerate(a)}
     return sum(x > y for x, y in combinations([rank[symbol] for symbol in b], 2))
 
@@ -97,10 +100,10 @@ def build_ring(
     if frequencies is not None:
         unknown = sorted(set(frequencies) - set(nodes))
         if unknown:
-            raise ValueError(f"frequency keys not in node set: {', '.join(unknown)}")
+            raise ValueError(f"frequency keys not in node set: {clip(', '.join(unknown))}")
         negative = sorted(order for order, count in frequencies.items() if count < 0)
         if negative:
-            raise ValueError(f"negative frequencies for: {', '.join(negative)}")
+            raise ValueError(f"negative frequencies for: {clip(', '.join(negative))}")
         frequencies = dict(frequencies)
     return PermutationRing(nodes, tuple(edges), frequencies)
 

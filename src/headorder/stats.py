@@ -26,6 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Union
 
+from .messages import clip
 from .nullmodel import expected_D, variance_D
 from .trees import single_head_D, star
 
@@ -48,11 +49,6 @@ class TableParseError(ValueError):
         self.order = order
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
-
-
-def clip(text: str) -> str:
-    """Outside text as an error message repeats it: past 40 characters, its middle goes."""
-    return text if len(text) <= 40 else f"{text[:30]}...{text[-7:]}"
 
 
 class OrderFrequencyTable(namedtuple("OrderFrequencyTable", "alphabet head units rows")):
@@ -180,6 +176,12 @@ def binomial_log_pmf(k: int, n: int, p: Real) -> float:
     )
     log_scale = math.log(2 * math.pi) + math.log(k) + math.log1p(-k / n)
     return exponent - 0.5 * log_scale
+
+
+def check_alpha(alpha: float, name: str = "alpha") -> None:
+    """Refuse an alpha outside (0, 1) or so small that 1 - alpha/2 rounds to 1.0."""
+    if not (0 < alpha < 1 and 1 - alpha / 2 < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1) with 1 - alpha/2 < 1 as a float, got {alpha}")
 
 
 def _check_finite(F: Real) -> None:
@@ -333,8 +335,7 @@ def binomial_proportion_ci(
     """
     if not 0 <= proportion <= 1:
         raise ValueError(f"proportion must be in [0, 1], got {proportion}")
-    if not (0 < alpha < 1 and 1 - alpha / 2 < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1) with 1 - alpha/2 < 1 as a float, got {alpha}")
+    check_alpha(alpha)
     _check_finite(F)
     if F <= 0:
         raise ValueError(f"F must be positive, got {F}")
@@ -357,14 +358,15 @@ class HeadPlacementReport(
     namedtuple(
         "HeadPlacementReport",
         "unit n F g proportion p_values mean_D sigma_mean_D k three_sigma_significant"
-        " ci_ends ci_mid transforms",
+        " alpha transforms",
     )
 ):
     """Per-unit analysis bundle for one order-frequency table.
 
     `transforms` holds the (F, <D>, sigma(<D>), k) row of each integer
     transformation in `p_values` of a fractional unit; it is empty for integer
-    units and from n = 5 on, where (F, g) no longer fix <D>.
+    units and from n = 5 on, where (F, g) no longer fix <D>. Each read of
+    `ci_ends` or `ci_mid` computes that interval at level 1 - alpha.
     """
 
     __slots__ = ()
@@ -372,6 +374,14 @@ class HeadPlacementReport(
     @property
     def null_mean_D(self) -> Fraction:
         return expected_D(self.n)
+
+    @property
+    def ci_ends(self) -> tuple[float, float]:
+        return binomial_proportion_ci(self.proportion, self.F, self.alpha)
+
+    @property
+    def ci_mid(self) -> tuple[float, float]:
+        return binomial_proportion_ci(1 - self.proportion, self.F, self.alpha)
 
 
 def _distance_row(
@@ -402,8 +412,9 @@ def analyze(
     a single p-value and fractional units up to four, each with its distance
     row for n <= 4. One pass over the rows gives the frequency at each head
     position, and from it F, g and the exact <D>. A unit whose F lies below
-    1/2 is refused: it rounds to 0 trials.
+    1/2 is refused: it rounds to 0 trials. A bad alpha is refused up front.
     """
+    check_alpha(alpha)
     n = table.n
     if n < 3:
         raise ValueError(
@@ -448,22 +459,20 @@ def analyze(
                 _distance_row(mu, variance, Fraction(T), s * end_D + (T - s) * middle_D)
                 for T, s, _ in p_values
             )
-        proportion = float(g / F)
         reports.append(
             HeadPlacementReport(
                 unit=unit,
                 n=n,
                 F=F,
                 g=g,
-                proportion=proportion,
+                proportion=float(g / F),
                 p_values=p_values,
                 mean_D=mean_D,
                 sigma_mean_D=sigma,
                 k=k,
                 # k >= 3 in exact arithmetic: F (<D> - mu)^2 >= 9 V_n, times F
                 three_sigma_significant=(total_D - F * null_mean) ** 2 >= 9 * F * null_variance,
-                ci_ends=binomial_proportion_ci(proportion, F, alpha),
-                ci_mid=binomial_proportion_ci(1 - proportion, F, alpha),
+                alpha=alpha,
                 transforms=transforms,
             )
         )

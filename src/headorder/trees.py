@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .messages import clip
+
 
 class FreeTree(namedtuple("FreeTree", "n edges")):
     """Undirected tree on vertices 1..n, `edges` a frozenset of (u, v) with u < v.
@@ -22,7 +24,7 @@ class FreeTree(namedtuple("FreeTree", "n edges")):
 
     def __new__(cls, n: int, edges) -> FreeTree:
         if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
+            raise ValueError(f"vertex count must be >= 1, got {clip(str(n))}")
         edges = frozenset((min(u, v), max(u, v)) for u, v in edges)
         if len(edges) != n - 1:
             raise ValueError(
@@ -30,9 +32,9 @@ class FreeTree(namedtuple("FreeTree", "n edges")):
             )
         for u, v in edges:
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise ValueError(f"self-loop at vertex {clip(str(u))}")
             if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge {u}-{v} outside vertex range 1..{n}")
+                raise ValueError(f"edge {clip(f'{u}-{v}')} outside vertex range 1..{n}")
         # n - 1 edges + connectivity is equivalent to being a tree.
         adjacency: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
         for u, v in edges:
@@ -95,10 +97,10 @@ def _vertex_count(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise ValueError(f"invalid vertex count {text.strip()!r}") from None
+        raise ValueError(f"invalid vertex count {clip(repr(text.strip()))}") from None
     if n > MAX_TREE_VERTICES:
         raise ValueError(
-            f"a tree of {n} vertices is above the limit of {MAX_TREE_VERTICES:,}"
+            f"a tree of {clip(str(n))} vertices is above the limit of {MAX_TREE_VERTICES:,}"
         )
     return n
 
@@ -125,7 +127,7 @@ def parse_tree(text: str) -> FreeTree:
         key, sep, value = segment.partition("=")
         key = key.strip()
         if not sep or key not in ("n", "edges", "head"):
-            raise ValueError(f"malformed tree segment {segment!r}")
+            raise ValueError(f"malformed tree segment {clip(repr(segment))}")
         if key in fields:
             raise ValueError(f"duplicate tree field {key!r}")
         fields[key] = value.strip()
@@ -142,15 +144,15 @@ def parse_tree(text: str) -> FreeTree:
                     raise ValueError
                 edges.append((int(u_text.strip()), int(v_text.strip())))
             except ValueError:
-                raise ValueError(f"invalid edge {token.strip()!r}") from None
+                raise ValueError(f"invalid edge {clip(repr(token.strip()))}") from None
     head = None
     if "head" in fields:
         try:
             head = int(fields["head"])
         except ValueError:
-            raise ValueError(f"invalid head {fields['head']!r}") from None
+            raise ValueError(f"invalid head {clip(repr(fields['head']))}") from None
     tree = FreeTree(n, frozenset(edges))
     if head is not None and not 1 <= head <= n:
-        raise ValueError(f"head {head} outside vertex range 1..{n}")
+        raise ValueError(f"head {clip(str(head))} outside vertex range 1..{n}")
     return tree
 

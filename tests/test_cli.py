@@ -472,6 +472,20 @@ class TestResourceRefusals:
         err = self.refuse(capsys, "ring", "--freq", "SOV=" + "1" * 5_000)
         assert "more than 4,300 digits in a row" in err and len(err.encode()) < 200
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["null-model", "--tree", "x" * 5_000], "malformed tree segment"),
+            (["null-model", "--tree", f"n=3;edges=1-2,{'9' * 5_000}-1"], "invalid edge"),
+            (["ring", "--symbols", "x" * 5_000], "repeated symbols in order"),
+            (["ring", "--freq", "x" * 5_000 + "=1"], "frequency keys not in node set"),
+        ],
+        ids=["tree-segment", "tree-edge", "ring-symbols", "ring-freq-key"],
+    )
+    def test_long_tree_or_ring_text_is_clipped(self, capsys, argv, reason):
+        err = self.refuse(capsys, *argv)
+        assert reason in err and "..." in err and len(err.encode()) < 200
+
     def test_too_many_ring_symbols(self, capsys):
         err = self.refuse(capsys, "ring", "--symbols", "ABCDEFGHI")
         assert "9 symbols are above the limit of 8" in err
@@ -479,6 +493,38 @@ class TestResourceRefusals:
     def test_too_many_tree_vertices(self, capsys):
         err = self.refuse(capsys, "null-model", "--tree", "star:10001")
         assert "above the limit of 10,000" in err
+
+
+class TestIntervalWork:
+    """A report's intervals are computed when read: only outputs that print them pay."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        original = headorder.stats.binomial_proportion_ci
+
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(headorder.stats, "binomial_proportion_ci", counting)
+        return counted
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    @pytest.mark.parametrize(
+        "target, expected",
+        [("table2", 0), ("table3", 0), ("fig3", 0), ("sov-footnote", 0), ("fig2", 6), ("all", 6)],
+    )
+    def test_reproduce(self, capsys, calls, target, expected, fmt):
+        assert run(capsys, "reproduce", target, "--format", fmt)[0] == 0
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_analyze_computes_two_per_unit(self, capsys, calls, tmp_path, fmt):
+        f = tmp_path / "dryer.csv"
+        f.write_text(serialize_frequency_table(builtin_dryer_table()))
+        assert run(capsys, "analyze", "--input", str(f), "--format", fmt)[0] == 0
+        assert len(calls) == 2 * 3
 
 
 class TestParserReuse:

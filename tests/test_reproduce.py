@@ -4,6 +4,7 @@ import pytest
 
 from headorder import reproduce
 from headorder.cli import main
+from headorder.dataio import ci_rows
 from headorder.reproduce import (
     check_fig2,
     check_fig3,
@@ -47,7 +48,7 @@ class TestCheckersPassOnRealData:
         assert check_table2(table2_rows(reports)) == []
         assert check_table3(table3_rows(reports)) == []
         assert check_sov_footnote(sov_footnote_rows()) == []
-        assert check_fig2(reports) == []
+        assert check_fig2(ci_rows(reports)) == []
         assert check_fig3(reports) == []
         assert check_fig4() == []
 
@@ -97,15 +98,14 @@ class TestCheckersCatchDrift:
         unit, prop, F, g, p = drifted[0]
         drifted[0] = (unit, prop + 0.01, F, g, p)
         monkeypatch.setattr(reproduce, "TABLE2_PUBLISHED", tuple(drifted))
-        assert any("proportion" in problem for problem in check_fig2(dryer_reports()))
+        rows = ci_rows(dryer_reports())
+        assert any("proportion" in problem for problem in check_fig2(rows))
 
     def test_fig2_interval_must_bracket(self):
-        reports = dryer_reports()
-        report = reports[0]
-        reports[0] = report._replace(
-            ci_ends=(report.proportion + 0.01, report.proportion + 0.02)
-        )
-        assert check_fig2(reports) != []
+        rows = ci_rows(dryer_reports())
+        unit, ends, lo, hi, *middle = rows[0]
+        rows[0] = (unit, ends, ends + 0.01, ends + 0.02, *middle)
+        assert check_fig2(rows) != []
 
     def test_fig3_reads_table3_sigma(self, monkeypatch):
         drifted = list(reproduce.TABLE3_PUBLISHED)

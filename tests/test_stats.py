@@ -313,12 +313,27 @@ class TestConfidenceInterval:
             binomial_proportion_ci(0.5, Fraction(2, 5))
 
     def test_alpha_leaves_an_upper_quantile(self):
-        # below ~2**-53, 1 - alpha/2 rounds to 1.0; refused before any pmf walk
+        # below ~2**-53, 1 - alpha/2 rounds to 1.0; refused before any pmf walk,
+        # and by analyze itself, since a report computes its intervals when read
         for alpha in (0.0, 1.0, 1e-17, 1e-320, 5e-324, math.nan):
             with pytest.raises(ValueError, match=r"1 - alpha/2 < 1 as a float"):
                 binomial_proportion_ci(0.5, 10**7, alpha)
+            with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\) with 1 - alpha/2"):
+                analyze(builtin_dryer_table(), alpha=alpha)
         lo, hi = binomial_proportion_ci(0.5, 100, 2**-52)  # 1 - 2**-53 < 1.0
         assert 0 <= lo < 0.5 < hi <= 1
+        for report in analyze(builtin_dryer_table(), alpha=2**-52):
+            for lo, hi, prop in ((*report.ci_ends, report.proportion),
+                                 (*report.ci_mid, 1 - report.proportion)):
+                assert 0 <= lo <= prop <= hi <= 1
+
+    def test_report_intervals_follow_its_alpha(self):
+        report = analyze(builtin_dryer_table(), alpha=0.2)[0]
+        assert report.alpha == 0.2
+        assert report.ci_ends == binomial_proportion_ci(report.proportion, report.F, 0.2)
+        assert report.ci_mid == binomial_proportion_ci(1 - report.proportion, report.F, 0.2)
+        wider = report._replace(alpha=0.01)
+        assert wider.ci_ends[0] < report.ci_ends[0] and report.ci_ends[1] < wider.ci_ends[1]
 
     def test_quantile_against_scipy(self):
         for trials in (10, 217, 576):
