@@ -14,7 +14,11 @@ pmf(k+1)/pmf(k) = (n-k)p / ((k+1)q), walking outward until the terms are
 negligible. p-values down at 1e-37 and far beyond keep full relative accuracy,
 and F = 10^6 costs milliseconds.
 Frequencies stay exact :class:`~fractions.Fraction` values until a float is
-actually reported.
+actually reported. `analyze` sums each unit in integers over one common
+denominator, scale, the lcm of the denominators of its nonzero cells:
+T = scale F, scale g and S = scale sum D*f are integers, <D> = S / T is one
+int/int division, and k >= 3 is decided as the integer inequality
+(3S - (n^2-1) T)^2 * V_n.denominator >= 81 * V_n.numerator * T * scale.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ class OrderFrequencyTable(namedtuple("OrderFrequencyTable", "alphabet head units
                         message = f"frequency {clip(repr(value))} of {clip(repr(order))}"
                         message += " is not a finite number"
                         raise TableParseError(None, message, order) from None
-                if value < 0:
+                if value.numerator < 0:
                     message = f"negative frequency {clip(str(value))} for {clip(repr(order))}"
                     raise TableParseError(None, f"{message} / {clip(repr(unit))}", order)
                 clean[unit] = value
@@ -385,19 +389,24 @@ class HeadPlacementReport(
 
 
 def _distance_row(
-    mu: float, variance: float, F: Fraction, total_D: Real
-) -> tuple[Fraction, float, float, float]:
-    """(F, <D>, sigma(<D>), k) of F star phrases whose D values sum to total_D.
+    mu: float, variance: float, total: int, total_D: int, scale: int
+) -> tuple[float, float, float]:
+    """(<D>, sigma(<D>), k) of F = total/scale star phrases whose D values sum
+    to total_D/scale.
 
-    mu = (n^2-1)/3 and variance = V_n are the shuffling mean and variance of
-    D for the n-word star, e.g. V_n = 1 for n=4 and 2/9 for n=3. Then
-    sigma(<D>) = sqrt(V_n / F), and the 3-sigma rule compares
-    k = |<D> - mu| / sigma(<D>) with 3.
+    The unit's frequencies are integer numerators over one common
+    denominator, scale, so <D> = total_D / total rounds once, as
+    float(Fraction) does. mu = (n^2-1)/3 and variance = V_n are the shuffling
+    mean and variance of D for the n-word star, e.g. V_n = 1 for n=4 and 2/9
+    for n=3. Then sigma(<D>) = sqrt(V_n / F), and the 3-sigma rule compares
+    k = |<D> - mu| / sigma(<D>) with 3; `analyze` decides it on the integers,
+    not on this float k.
     """
-    mean_D = float(total_D / F)
-    sigma = math.sqrt(variance / float(F))
-    k = math.sqrt(float(F) / variance) * abs(mean_D - mu)
-    return F, mean_D, sigma, k
+    mean_D = total_D / total
+    F = total / scale
+    sigma = math.sqrt(variance / F)
+    k = math.sqrt(F / variance) * abs(mean_D - mu)
+    return mean_D, sigma, k
 
 
 def analyze(
@@ -411,8 +420,9 @@ def analyze(
     four-way integer-transformation test is always run, so integer units carry
     a single p-value and fractional units up to four, each with its distance
     row for n <= 4. One pass over the rows gives the frequency at each head
-    position, and from it F, g and the exact <D>. A unit whose F lies below
-    1/2 is refused: it rounds to 0 trials. A bad alpha is refused up front.
+    position, in integers over the lcm of the unit's denominators, and from
+    it F, g and the exact <D>. A unit whose F lies below 1/2 is refused: it
+    rounds to 0 trials. A bad alpha is refused up front.
     """
     check_alpha(alpha)
     n = table.n
@@ -422,56 +432,66 @@ def analyze(
             "every order puts the head at an end"
         )
     null_p = Fraction(p0) if p0 is not None else Fraction(2, n)
-    null_mean, null_variance = expected_D(n), variance_D(star(n))
-    mu, variance = float(null_mean), float(null_variance)
+    null_variance = variance_D(star(n))
+    mu, variance = float(expected_D(n)), float(null_variance)
     head_at = [(order.index(table.head), freqs) for order, freqs in table.rows.items()]
+    D_at = [single_head_D(n, i + 1) for i in range(n)]
     reports = []
     for unit in table.units:
-        at = [Fraction(0)] * n  # frequency of the orders with the head at i+1
-        for i, freqs in head_at:
-            value = freqs.get(unit)
-            if value:
-                at[i] += value
-        F = sum(at)
-        if F > MAX_TOTAL_FREQUENCY:
+        cells = [(i, value) for i, freqs in head_at if (value := freqs.get(unit))]
+        # every cell times scale is an integer: frequencies are numerators over scale
+        scale = math.lcm(*(value.denominator for _, value in cells))
+        at = [0] * n  # scale times the frequency of the orders with the head at i+1
+        for i, value in cells:
+            at[i] += value.numerator * (scale // value.denominator)
+        total = sum(at)
+        if total > MAX_TOTAL_FREQUENCY * scale:
             raise ValueError(
                 f"total frequency of unit {unit!r} is above the limit of "
                 f"{MAX_TOTAL_FREQUENCY:,}: its intervals walk O(sqrt F) pmf terms"
             )
-        if float(F) == 0:  # also an F below the smallest float, 5e-324
+        if total / scale == 0:  # also an F below the smallest float, 5e-324
             raise ValueError(f"zero total frequency for unit {unit!r}")
-        if F < Fraction(1, 2):
+        F = Fraction(total, scale)
+        if 2 * total < scale:
             # a tiny decimal such as 1e-320 is exact only with hundreds of digits
             shown = F if F.denominator <= 10**6 else f"{float(F):.3g}"
             raise ValueError(
                 f"F = {shown} rounds to 0 trials for unit {unit!r}; "
                 "a total frequency must be at least 1/2"
             )
-        g = at[0] + at[-1]
+        ends = at[0] + at[-1]
+        g = Fraction(ends, scale)
         p_values = quad_binomial_test(g, F, null_p)
-        total_D = sum(f * single_head_D(n, i + 1) for i, f in enumerate(at))
-        _, mean_D, sigma, k = _distance_row(mu, variance, F, total_D)
+        total_D = sum(f * D for f, D in zip(at, D_at))
+        mean_D, sigma, k = _distance_row(mu, variance, total, total_D, scale)
         transforms = ()
         if n <= 4 and (F.denominator > 1 or g.denominator > 1):
             # n <= 4: D takes one value at the ends, one in the middle
-            end_D, middle_D = single_head_D(n, 1), single_head_D(n, 2)
+            end_D, middle_D = D_at[0], D_at[1]
             transforms = tuple(
-                _distance_row(mu, variance, Fraction(T), s * end_D + (T - s) * middle_D)
+                (Fraction(T), *_distance_row(mu, variance, T, s * end_D + (T - s) * middle_D, 1))
                 for T, s, _ in p_values
             )
+        # k >= 3 in exact arithmetic: F (<D> - mu)^2 >= 9 V_n. With T = scale F
+        # and S = scale sum D*f, times 9 T scale: (3S - (n^2-1) T)^2 >= 81 V_n T scale
+        deviation = 3 * total_D - (n * n - 1) * total
+        significant = (
+            deviation * deviation * null_variance.denominator
+            >= 81 * null_variance.numerator * total * scale
+        )
         reports.append(
             HeadPlacementReport(
                 unit=unit,
                 n=n,
                 F=F,
                 g=g,
-                proportion=float(g / F),
+                proportion=ends / total,
                 p_values=p_values,
                 mean_D=mean_D,
                 sigma_mean_D=sigma,
                 k=k,
-                # k >= 3 in exact arithmetic: F (<D> - mu)^2 >= 9 V_n, times F
-                three_sigma_significant=(total_D - F * null_mean) ** 2 >= 9 * F * null_variance,
+                three_sigma_significant=significant,
                 alpha=alpha,
                 transforms=transforms,
             )

@@ -7,7 +7,7 @@ from itertools import accumulate, permutations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -446,14 +446,42 @@ class TestSigmaSeparation:
         # V = 1. Every order head-final gives k = sqrt(F). 20 x nADN and 5 x
         # DnAN give F = 25 and <D> = 28/5, so k = 3 exactly, which the rule
         # must accept although float k is 2.9999999999999982.
+        #
+        # With fractional cells the unit is summed over scale > 1, the lcm of
+        # its denominators. Each tie below reads k = 3 exactly in rationals,
+        # and the case after it moves one cell by 1e-17 to just below the tie:
+        # the float k does not change, the verdict does.
+        # n = 4, all head-end: k = sqrt(F), so F = 9 from halves.
+        # n = 4, 91/8 head-end and 7/8 in the middle: F = 49/4, <D> = 46/7.
+        # n = 3: mu = 8/3, V = 2/9, and all head-end gives k = sqrt(F / 2).
+        # n = 5: mu = 8, V = 14/5, and all head-end gives k = sqrt(10 F / 7).
+        below = Fraction(1, 10**17)
         cases = (
-            ({"DNAn": 9}, 3.0, True),
-            ({"DNAn": 8}, math.sqrt(8), False),
-            ({"nADN": 20, "DnAN": 5}, pytest.approx(3.0, rel=1e-12), True),
+            ("DNAn", {"DNAn": 9}, 3.0, True),
+            ("DNAn", {"DNAn": 8}, math.sqrt(8), False),
+            ("DNAn", {"nADN": 20, "DnAN": 5}, pytest.approx(3.0, rel=1e-12), True),
+            ("DNAn", {"DNAn": Fraction(9, 2), "nDNA": Fraction(9, 2)}, 3.0, True),
+            ("DNAn", {"DNAn": Fraction(9, 2), "nDNA": Fraction(9, 2) - below}, 3.0, False),
+            ("DNAn", {"nADN": Fraction(91, 8), "DnAN": Fraction(7, 8)}, 2.9999999999999987, True),
+            (
+                "DNAn",
+                {"nADN": Fraction(91, 8), "DnAN": Fraction(7, 8) + below},
+                2.9999999999999987,
+                False,
+            ),
+            ("ABn", {"ABn": Fraction(17, 2), "nAB": Fraction(19, 2)}, 3.0000000000000013, True),
+            (
+                "ABn",
+                {"ABn": Fraction(17, 2), "nAB": Fraction(19, 2) - below},
+                3.0000000000000013,
+                False,
+            ),
+            ("ABCDn", {"ABCDn": Fraction(63, 20), "nABCD": Fraction(63, 20)}, 3.0, True),
+            ("ABCDn", {"ABCDn": Fraction(63, 20), "nABCD": Fraction(63, 20) - below}, 3.0, False),
         )
-        for rows, k, significant in cases:
+        for alphabet, rows, k, significant in cases:
             table = OrderFrequencyTable(
-                tuple("DNAn"), "n", ("u",), {order: {"u": F} for order, F in rows.items()}
+                tuple(alphabet), "n", ("u",), {order: {"u": F} for order, F in rows.items()}
             )
             (report,) = analyze(table)
             assert report.k == k
@@ -563,6 +591,21 @@ class TestAnalyze:
         table = OrderFrequencyTable(("D", "N", "A", "n"), "n", ("u",), rows)
         assert analyze(table)[0].g == 10**9
 
+    def test_limit_holds_for_fractional_cells(self):
+        # the unit is summed over scale = 2; F = 10**9 + 1/2 is refused with
+        # the same message as an integer F, and F = 10**9 from halves is not
+        rows = {"nAND": {"u": Fraction(2 * 10**9 + 1, 2)}}
+        table = OrderFrequencyTable(("D", "N", "A", "n"), "n", ("u",), rows)
+        with pytest.raises(ValueError) as info:
+            analyze(table)
+        assert str(info.value) == (
+            "total frequency of unit 'u' is above the limit of 1,000,000,000: "
+            "its intervals walk O(sqrt F) pmf terms"
+        )
+        rows = {"nAND": {"u": Fraction(2 * 10**9 - 1, 2)}, "DNAn": {"u": Fraction(1, 2)}}
+        table = OrderFrequencyTable(("D", "N", "A", "n"), "n", ("u",), rows)
+        assert analyze(table)[0].F == 10**9
+
     def test_p0_override(self):
         table = builtin_dryer_table()
         default = analyze(table)[0].p_values[0][2]
@@ -655,6 +698,72 @@ class TestAnalyze:
             assert head_end_test_rows([integer]) == [tests[i]]
             if fractional:
                 assert distance_rows([integer]) == [distances[1 + i]]
+
+
+# Mersenne primes and two 30-bit primes: distinct large denominators, so the
+# lcm that a unit is summed over grows to hundreds of bits
+LARGE_PRIMES = (998_244_353, 1_000_000_007, 2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+
+def _over(denominators, top):
+    """Fractions a/d with d drawn from `denominators` and 0 <= a/d <= top."""
+    return st.sampled_from(denominators).flatmap(
+        lambda d: st.integers(0, top * d).map(lambda a: Fraction(a, d))
+    )
+
+
+class TestIntegerSums:
+    """analyze sums a unit in integers over the lcm of its denominators."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_exact_oracle(self, data):
+        n = data.draw(st.sampled_from([3, 4, 5, 6]), label="n")
+        alphabet = "ABCDEn"[-n:]
+        cell = st.one_of(
+            _over((1,), 500),
+            _over((10, 100, 1000), 50),
+            _over((3, 7), 200),
+            _over(LARGE_PRIMES, 300),
+        )
+        orders = st.permutations(alphabet).map("".join)
+        cells = data.draw(st.dictionaries(orders, cell, min_size=1, max_size=12), label="cells")
+        F = sum(cells.values())
+        assume(F >= Fraction(1, 2))
+        rows = {order: {"u": f} for order, f in cells.items()}
+        table = OrderFrequencyTable(tuple(alphabet), "n", ("u",), rows)
+        (report,) = analyze(table)
+        assert report.F == total_frequency(table, "u") == F
+        assert report.g == head_end_frequency(table, "u")
+        assert report.proportion == float(report.g / F)
+        exact_mean = sum(order_distance_sum(o, "n") * f for o, f in cells.items()) / F
+        assert report.mean_D == float(exact_mean)
+        significant = F * (exact_mean - expected_D(n)) ** 2 >= 9 * star_variance(n)
+        assert report.three_sigma_significant is significant
+
+    def test_fraction_additions_do_not_grow_with_the_rows(self, monkeypatch):
+        # the 24-row Dryer table makes no more Fraction additions than two of
+        # its rows with the same units: none of them is per cell
+        dryer = builtin_dryer_table()
+        full = [order for order, freqs in dryer.rows.items() if all(freqs.values())]
+        two_rows = dryer._replace(rows={order: dryer.rows[order] for order in full[:2]})
+        assert len(dryer.rows) == 24 and len(two_rows.rows) == 2
+        counted = []
+        for name in ("__add__", "__radd__"):
+            original = getattr(Fraction, name)
+
+            def counting(a, b, original=original):
+                counted.append(1)
+                return original(a, b)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        additions = []
+        for table in (two_rows, dryer):
+            counted.clear()
+            analyze(table)
+            additions.append(len(counted))
+        assert additions[1] <= additions[0]
+
 
 class TestOrderFrequencyTable:
     # each refusal is a TableParseError, still a ValueError, with no line
