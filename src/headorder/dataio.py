@@ -18,7 +18,9 @@ from typing import Iterable, Sequence
 
 from .rings import ring_layout
 from .messages import clip
-from .stats import HeadPlacementReport, OrderFrequencyTable, TableParseError
+from .stats import (
+    HeadPlacementReport, OrderFrequencyTable, TableParseError, binomial_proportion_ci,
+)
 from .trees import single_head_D
 
 # Frequencies of the 24 preferred orders of demonstrative (D), numeral (N),
@@ -263,9 +265,11 @@ def distance_rows(
 def ci_rows(
     reports: Sequence[HeadPlacementReport],
 ) -> list[tuple[str, float, float, float, float, float, float, bool]]:
-    """(unit, ends, CI(ends), middle, CI(middle), 3-sigma) rows; one read of each interval."""
+    """(unit, ends, CI(ends), middle, CI(middle), 3-sigma) rows; CIs at level 1 - r.alpha."""
     return [
-        (r.unit, r.proportion, *r.ci_ends, 1 - r.proportion, *r.ci_mid, r.three_sigma_significant)
+        (r.unit, r.proportion, *binomial_proportion_ci(r.proportion, r.F, r.alpha),
+         1 - r.proportion, *binomial_proportion_ci(1 - r.proportion, r.F, r.alpha),
+         r.three_sigma_significant)
         for r in reports
     ]
 
@@ -365,14 +369,11 @@ def reports_to_text(reports: Sequence[HeadPlacementReport]) -> str:
 def export_plot_data(data: object, kind: str) -> str:
     """CSV plot data for one of the figure kinds.
 
-    * ``fig2``: report list, or its :func:`ci_rows` -> per-unit proportions
-      (ends / middle) with CI.
+    * ``fig2``: :func:`ci_rows` -> per-unit proportions (ends / middle) with CI.
     * ``fig3``: report list -> per-unit null mean, sigma, <D>, 1..3-sigma bands.
     * ``fig4``: permutation ring -> node layout block plus edge block.
     """
     if kind == "fig2":
-        if all(isinstance(r, HeadPlacementReport) for r in data):
-            data = ci_rows(data)
         rows = []
         for unit, ends, lo, hi, middle, mid_lo, mid_hi, _ in data:
             rows += [(unit, "ends", ends, lo, hi), (unit, "middle", middle, mid_lo, mid_hi)]

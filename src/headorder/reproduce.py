@@ -233,7 +233,7 @@ def _run_one(target: str, fmt: str, reports, sov_rows) -> tuple[str, list[str]]:
         rows = table3_rows(reports)
         return DISTANCE.render(rows, fmt), check_table3(rows)
     if target == "fig2":
-        rows = ci_rows(reports)  # computes each interval, once for both uses
+        rows = ci_rows(reports)  # computes each interval once; the CSV and the check share it
         return fig2_csv(rows), check_fig2(rows)
     if target == "fig3":
         return fig3_csv(reports), check_fig3(reports)

@@ -93,6 +93,10 @@ class OrderFrequencyTable(namedtuple("OrderFrequencyTable", "alphabet head units
                     message = f"unknown unit {clip(repr(unit))} in row {clip(repr(order))}"
                     raise TableParseError(None, message, order)
                 if type(value) is not Fraction:
+                    if isinstance(value, str):
+                        message = f"frequency {clip(repr(value))} of {clip(repr(order))} is text,"
+                        message += " not a finite number; read text with dataio.parse_exact"
+                        raise TableParseError(None, message, order)
                     try:
                         value = Fraction(value)
                     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
@@ -369,8 +373,7 @@ class HeadPlacementReport(
 
     `transforms` holds the (F, <D>, sigma(<D>), k) row of each integer
     transformation in `p_values` of a fractional unit; it is empty for integer
-    units and from n = 5 on, where (F, g) no longer fix <D>. Each read of
-    `ci_ends` or `ci_mid` computes that interval at level 1 - alpha.
+    units and from n = 5 on, where (F, g) no longer fix <D>.
     """
 
     __slots__ = ()
@@ -378,14 +381,6 @@ class HeadPlacementReport(
     @property
     def null_mean_D(self) -> Fraction:
         return expected_D(self.n)
-
-    @property
-    def ci_ends(self) -> tuple[float, float]:
-        return binomial_proportion_ci(self.proportion, self.F, self.alpha)
-
-    @property
-    def ci_mid(self) -> tuple[float, float]:
-        return binomial_proportion_ci(1 - self.proportion, self.F, self.alpha)
 
 
 def _distance_row(

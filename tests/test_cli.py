@@ -496,18 +496,18 @@ class TestResourceRefusals:
 
 
 class TestIntervalWork:
-    """A report's intervals are computed when read: only outputs that print them pay."""
+    """`dataio.ci_rows` computes a report's intervals: only outputs that print them pay."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counted = []
-        original = headorder.stats.binomial_proportion_ci
+        original = headorder.dataio.binomial_proportion_ci
 
         def counting(*args, **kwargs):
             counted.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(headorder.stats, "binomial_proportion_ci", counting)
+        monkeypatch.setattr(headorder.dataio, "binomial_proportion_ci", counting)
         return counted
 
     @pytest.mark.parametrize("fmt", ["table", "csv"])

@@ -14,6 +14,7 @@ from headorder.dataio import (
     TableSchema,
     builtin_dryer_table,
     builtin_sov_aggregates,
+    ci_rows,
     distance_rows,
     export_plot_data,
     head_end_test_rows,
@@ -229,7 +230,7 @@ class TestLoader:
 class TestExports:
     def test_fig2_columns(self):
         reports = analyze(builtin_dryer_table())
-        text = export_plot_data(reports, "fig2")
+        text = export_plot_data(ci_rows(reports), "fig2")
         lines = text.splitlines()
         assert lines[0] == "unit,placement,proportion,ci_lo,ci_hi"
         assert len(lines) == 1 + 2 * len(reports)

@@ -16,10 +16,14 @@ into `dataio.Block`.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import headorder
 from headorder.cli import main
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -81,6 +85,16 @@ def test_reproduce_output_matches_golden(capsys, case):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, REPRODUCE_VERDICT)
     assert captured.out == REPRODUCE_GOLDENS[case]
+
+
+def test_module_entry_point_matches_golden():
+    # `python -m headorder` runs __main__, which exits with main()'s code
+    src = os.path.dirname(os.path.dirname(headorder.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "headorder", "reproduce", "table2"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, REPRODUCE_VERDICT)
+    assert done.stdout == REPRODUCE_GOLDENS["table2/table"]
 
 
 @pytest.mark.parametrize("case", RING_CASES)

@@ -134,6 +134,8 @@ class TestClosedForms:
         assert expected_D(4) == 5
         assert expected_D(3) == Fraction(8, 3)
         assert expected_D(2) == 1
+        with pytest.raises(ValueError, match="vertex count must be >= 1, got 0"):
+            expected_D(0)
 
     def test_variance_examples(self):
         assert variance_D(star(3)) == Fraction(2, 9)

@@ -40,7 +40,7 @@ DELETED = {
 DELETED_MEMBERS = {
     trees.FreeTree: ("degree", "is_star", "head"),
     rings.PermutationRing: ("symbols",),
-    stats.HeadPlacementReport: ("d_min", "d_max"),
+    stats.HeadPlacementReport: ("d_min", "d_max", "ci_ends", "ci_mid"),
     nullmodel.DiscreteDistribution: ("probability", "from_counts", "_power_sums"),
 }
 

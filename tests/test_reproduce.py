@@ -124,6 +124,8 @@ class TestCheckersCatchDrift:
     def test_sov_value_no_p0_reproduces(self, monkeypatch):
         monkeypatch.setitem(reproduce.SOV_PUBLISHED, "languages", 1e-10)
         assert check_sov_footnote(sov_footnote_rows()) != []
+        text, _ = reproduce.run("sov-footnote", "table")
+        assert "# languages: published value not reproduced\n" in text
 
 
 class TestCliMismatchExit:
@@ -201,3 +203,9 @@ class TestRun:
         assert reproduce.agrees(0.6409, 0.641, reproduce.PROPORTION_TOL)
         assert not reproduce.agrees(0.6421, 0.641, reproduce.PROPORTION_TOL)
         assert reproduce.agrees(Fraction(2174, 10), 217.4, reproduce.F_TOL)
+
+    def test_order_of_magnitude_needs_positive_values(self):
+        # a p-value that underflows to 0.0 is not within 10x of any published one
+        assert not reproduce.within_order_of_magnitude(0.0, 1e-30)
+        assert not reproduce.within_order_of_magnitude(1e-30, 0.0)
+        assert reproduce.within_order_of_magnitude(2.7e-30, 1e-30)

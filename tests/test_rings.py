@@ -130,6 +130,10 @@ class TestRing:
         with pytest.raises(ValueError, match="at least 2"):
             build_ring("S")
 
+    def test_symbols_must_be_single_characters(self):
+        with pytest.raises(ValueError, match="must be single characters"):
+            build_ring(("SO", "V"))
+
     def test_too_many_symbols(self):
         # refused before any order is built, however long the alphabet
         for m in (MAX_RING_SYMBOLS + 1, 5000):

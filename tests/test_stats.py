@@ -19,7 +19,7 @@ from frequency_oracle import (
     star_variance,
     total_frequency,
 )
-from headorder.dataio import builtin_dryer_table, distance_rows, head_end_test_rows
+from headorder.dataio import builtin_dryer_table, ci_rows, distance_rows, head_end_test_rows
 from headorder.nullmodel import expected_D, sigma_mean_D
 from headorder.stats import (
     OrderFrequencyTable,
@@ -92,6 +92,8 @@ class TestHeadEndBasics:
             head_end_frequency(table, "nope")
         with pytest.raises(ValueError, match="unknown unit"):
             total_frequency(table, "nope")
+        with pytest.raises(ValueError, match="unknown unit 'nope'"):
+            table.frequency("nAND", "nope")
 
 
 class TestMeanDBridge:
@@ -314,7 +316,7 @@ class TestConfidenceInterval:
 
     def test_alpha_leaves_an_upper_quantile(self):
         # below ~2**-53, 1 - alpha/2 rounds to 1.0; refused before any pmf walk,
-        # and by analyze itself, since a report computes its intervals when read
+        # and by analyze itself, since ci_rows computes a report's intervals later
         for alpha in (0.0, 1.0, 1e-17, 1e-320, 5e-324, math.nan):
             with pytest.raises(ValueError, match=r"1 - alpha/2 < 1 as a float"):
                 binomial_proportion_ci(0.5, 10**7, alpha)
@@ -322,18 +324,20 @@ class TestConfidenceInterval:
                 analyze(builtin_dryer_table(), alpha=alpha)
         lo, hi = binomial_proportion_ci(0.5, 100, 2**-52)  # 1 - 2**-53 < 1.0
         assert 0 <= lo < 0.5 < hi <= 1
-        for report in analyze(builtin_dryer_table(), alpha=2**-52):
-            for lo, hi, prop in ((*report.ci_ends, report.proportion),
-                                 (*report.ci_mid, 1 - report.proportion)):
-                assert 0 <= lo <= prop <= hi <= 1
+        for _, ends, lo, hi, middle, mid_lo, mid_hi, _ in ci_rows(
+            analyze(builtin_dryer_table(), alpha=2**-52)
+        ):
+            assert 0 <= lo <= ends <= hi <= 1
+            assert 0 <= mid_lo <= middle <= mid_hi <= 1
 
     def test_report_intervals_follow_its_alpha(self):
         report = analyze(builtin_dryer_table(), alpha=0.2)[0]
         assert report.alpha == 0.2
-        assert report.ci_ends == binomial_proportion_ci(report.proportion, report.F, 0.2)
-        assert report.ci_mid == binomial_proportion_ci(1 - report.proportion, report.F, 0.2)
-        wider = report._replace(alpha=0.01)
-        assert wider.ci_ends[0] < report.ci_ends[0] and report.ci_ends[1] < wider.ci_ends[1]
+        row = ci_rows([report])[0]
+        assert row[2:4] == binomial_proportion_ci(report.proportion, report.F, 0.2)
+        assert row[5:7] == binomial_proportion_ci(1 - report.proportion, report.F, 0.2)
+        wider = ci_rows([report._replace(alpha=0.01)])[0]
+        assert wider[2] < row[2] and row[3] < wider[3]
 
     def test_quantile_against_scipy(self):
         for trials in (10, 217, 576):
@@ -367,6 +371,44 @@ class TestConfidenceInterval:
             binomial_quantile(0.0, 10, 0.5)
         with pytest.raises(ValueError):
             binomial_quantile(1.0, 10, 0.5)
+
+
+@pytest.mark.parametrize(
+    "function, message",
+    [
+        (lambda: binomial_log_pmf(1, 10, 0.0), r"strictly between 0 and 1, got 0.0$"),
+        (lambda: binomial_log_pmf(1, 10, 1.0), r"strictly between 0 and 1, got 1.0$"),
+        (lambda: binomial_quantile(0.5, -1, 0.5), r"trials must be >= 0, got -1$"),
+        (lambda: binomial_quantile(0.5, 10, -0.1), r"must be in \[0, 1\], got -0.1$"),
+        (lambda: binomial_quantile(0.5, 10, 1.5), r"must be in \[0, 1\], got 1.5$"),
+        (lambda: binomial_proportion_ci(-0.1, 10), r"proportion must be in \[0, 1\], got -0.1$"),
+        (lambda: binomial_proportion_ci(1.5, 10), r"proportion must be in \[0, 1\], got 1.5$"),
+        (lambda: binomial_proportion_ci(0.5, 0), r"F must be positive, got 0$"),
+        (lambda: binomial_proportion_ci(0.5, -3), r"F must be positive, got -3$"),
+    ],
+    ids=[
+        "log_pmf-p0", "log_pmf-p1", "quantile-trials", "quantile-p-low", "quantile-p-high",
+        "ci-proportion-low", "ci-proportion-high", "ci-F-zero", "ci-F-negative",
+    ],
+)
+def test_an_argument_out_of_its_domain_is_refused(function, message):
+    with pytest.raises(ValueError, match=message):
+        function()
+
+
+@pytest.mark.parametrize(
+    "function, expected",
+    [
+        (lambda: binomial_log_pmf(-1, 10, 0.5), -math.inf),
+        (lambda: binomial_log_pmf(11, 10, 0.5), -math.inf),
+        (lambda: binomial_quantile(0.5, 10, 0.0), 0),
+        (lambda: binomial_quantile(0.5, 10, 1.0), 10),
+    ],
+    ids=["log_pmf-below", "log_pmf-above", "quantile-p0", "quantile-p1"],
+)
+def test_edges_of_the_binomial_support(function, expected):
+    # no mass outside 0..n; a certain outcome is its own quantile at every level
+    assert function() == expected
 
 
 @pytest.mark.parametrize("F", [math.nan, math.inf, -math.inf])
@@ -793,7 +835,7 @@ class TestOrderFrequencyTable:
     def test_rejects_an_alphabet_of_no_distinct_characters(self, alphabet):
         assert self.refusal("alphabet", alphabet, "n", ("u",), {}) is None
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, "x", None, "1/0"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, "x", None, "1/0", "2.5", "1e3000000"])
     def test_rejects_a_frequency_that_is_not_a_number(self, value):
         rows = {"nAND": {"u": value}}
         assert self.refusal("not a finite number", "DNAn", "n", ("u",), rows) == "nAND"

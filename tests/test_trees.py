@@ -68,6 +68,8 @@ class TestDistances:
             single_head_D(4, 0)
         with pytest.raises(ValueError):
             single_head_D(4, 5)
+        with pytest.raises(ValueError, match="vertex count must be >= 1, got 0"):
+            single_head_D(0, 1)
 
     def test_closed_form_matches_every_leaf_ordering(self):
         # exhaustive over n in 2..8: every arrangement of the star equals D(pi)
@@ -136,6 +138,14 @@ class TestTextForm:
     def test_bad_edge(self):
         with pytest.raises(ValueError, match="edge"):
             parse_tree("n=3; edges=1-2,3")
+
+    def test_bad_head(self):
+        with pytest.raises(ValueError, match="invalid head 'x'"):
+            parse_tree("n=3; edges=1-2,2-3; head=x")
+
+    def test_repeated_field(self):
+        with pytest.raises(ValueError, match="duplicate tree field 'n'"):
+            parse_tree("n=3; n=3; edges=1-2,2-3")
 
     def test_unknown_field(self):
         with pytest.raises(ValueError, match="malformed"):
